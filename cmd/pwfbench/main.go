@@ -188,9 +188,9 @@ func run(args []string, out io.Writer) error {
 	if *tolerance < 0 {
 		return fmt.Errorf("-tolerance must be >= 0")
 	}
-	specs, err := parseScheds(*scheds)
+	specs, err := sweep.ParseSchedulerList(*scheds)
 	if err != nil {
-		return err
+		return fmt.Errorf("parse -scheds: %w", err)
 	}
 	wls, err := parseWorkloads(*workloads)
 	if err != nil {
@@ -348,46 +348,6 @@ func checkRegression(path string, cur Report, tolerance float64) error {
 			tolerance*100, path, strings.Join(regressions, "\n  "))
 	}
 	return nil
-}
-
-// parseScheds parses the -scheds list with the same grammar pwfsim's
-// -sched flag and the serve API's SchedulerSpec strings use.
-func parseScheds(s string) ([]sweep.SchedulerSpec, error) {
-	var out []sweep.SchedulerSpec
-	for _, f := range strings.Split(s, ";") {
-		for _, name := range splitTopLevel(f) {
-			spec, err := sweep.ParseScheduler(strings.TrimSpace(name))
-			if err != nil {
-				return nil, fmt.Errorf("parse -scheds: %w", err)
-			}
-			out = append(out, spec)
-		}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty -scheds list")
-	}
-	return out, nil
-}
-
-// splitTopLevel splits a comma-separated scheduler list without
-// breaking commas inside a spec's own arguments (lottery:1,2,4): a
-// comma starts a new spec only when what follows looks like a
-// scheduler name, i.e. begins with a letter.
-func splitTopLevel(s string) []string {
-	var parts []string
-	start := 0
-	for i := 0; i < len(s); i++ {
-		if s[i] != ',' {
-			continue
-		}
-		rest := strings.TrimSpace(s[i+1:])
-		if rest == "" || (rest[0] >= 'a' && rest[0] <= 'z') || (rest[0] >= 'A' && rest[0] <= 'Z') {
-			parts = append(parts, s[start:i])
-			start = i + 1
-		}
-	}
-	parts = append(parts, s[start:])
-	return parts
 }
 
 func parseNList(s string) ([]int, error) {

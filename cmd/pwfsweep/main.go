@@ -53,6 +53,7 @@ import (
 	"pwf"
 	"pwf/internal/api"
 	"pwf/internal/checkpoint"
+	"pwf/internal/sweep"
 )
 
 func main() {
@@ -214,16 +215,9 @@ func buildJobs(algos, scheds, ns string, steps uint64, warmup float64, seeds int
 		workloads = append(workloads, w)
 		algoNames = append(algoNames, name)
 	}
-	var specs []pwf.SchedulerSpec
-	var schedNames []string
-	for _, name := range strings.Split(scheds, ",") {
-		name = strings.TrimSpace(name)
-		spec, err := pwf.ParseScheduler(name)
-		if err != nil {
-			return nil, err
-		}
-		specs = append(specs, spec)
-		schedNames = append(schedNames, name)
+	specs, err := sweep.ParseSchedulerList(scheds)
+	if err != nil {
+		return nil, err
 	}
 	var counts []int
 	for _, s := range strings.Split(ns, ",") {
@@ -236,7 +230,7 @@ func buildJobs(algos, scheds, ns string, steps uint64, warmup float64, seeds int
 
 	var jobs []pwf.SweepJob
 	for ai, w := range workloads {
-		for si, spec := range specs {
+		for _, spec := range specs {
 			for _, n := range counts {
 				for k := 0; k < seeds; k++ {
 					jobs = append(jobs, pwf.SweepJob{
@@ -246,7 +240,7 @@ func buildJobs(algos, scheds, ns string, steps uint64, warmup float64, seeds int
 						Steps:          steps,
 						WarmupFraction: warmup,
 						Label: fmt.Sprintf("%s/%s/n%d/r%d",
-							algoNames[ai], schedNames[si], n, k),
+							algoNames[ai], spec, n, k),
 					})
 				}
 			}

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -43,6 +44,38 @@ func TestBuildJobsRejectsBadAxes(t *testing.T) {
 	for _, c := range cases {
 		if _, err := buildJobs(c[0], c[1], c[2], 1000, 0.1, 1); err == nil {
 			t.Errorf("buildJobs(%q, %q, %q) accepted bad input", c[0], c[1], c[2])
+		}
+	}
+}
+
+// -scheds speaks the shared list grammar: the commas inside a
+// scheduler's own arguments (explicit tickets, phase weights) stay with
+// it instead of splitting it into bogus entries.
+func TestBuildJobsSchedListKeepsArgumentCommas(t *testing.T) {
+	for _, tc := range []struct {
+		scheds string
+		want   []string
+	}{
+		{"lottery:1,2,uniform", []string{"lottery:1,2", "uniform"}},
+		{"phased:3,1@50/1,3@50", []string{"phased:3,1@50/1,3@50"}},
+	} {
+		jobs, err := buildJobs("scu", tc.scheds, "2", 1000, 0.1, 1)
+		if err != nil {
+			t.Errorf("-scheds %s: %v", tc.scheds, err)
+			continue
+		}
+		var got []string
+		for _, j := range jobs {
+			got = append(got, j.Sched.String())
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("-scheds %s: schedulers %q, want %q", tc.scheds, got, tc.want)
+		}
+		var out, errOut bytes.Buffer
+		args := []string{"-algos", "scu", "-scheds", tc.scheds, "-n", "2",
+			"-seeds", "1", "-steps", "2000", "-progress=false"}
+		if err := run(args, &out, &errOut); err != nil {
+			t.Errorf("run -scheds %s: %v", tc.scheds, err)
 		}
 	}
 }

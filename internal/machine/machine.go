@@ -20,12 +20,10 @@ package machine
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"pwf/internal/obs"
 	"pwf/internal/sched"
 	"pwf/internal/shmem"
-	"pwf/internal/stats"
 )
 
 // Process is one simulated algorithm instance. Each call to Step
@@ -53,22 +51,10 @@ type Sim struct {
 	procs []Process
 	sch   sched.Scheduler
 
-	steps       uint64
-	completions []uint64
-	totalComp   uint64
-
-	// Gap statistics, measured in system steps.
-	sysGaps     stats.Summary
-	indGaps     []stats.Summary
-	lastSysComp uint64
-	lastIndComp []uint64
-	sysPrimed   bool
-	indPrimed   []bool
-	maxIndGap   []uint64
-
-	// Metrics window start (ResetMetrics discards warmup).
-	windowStart     uint64
-	windowCompStart uint64
+	// Metrics is the step clock and the latency bookkeeping, as a
+	// single replica: Sim's replica-free accessors below shadow the
+	// embedded per-replica ones and answer for replica 0.
+	Metrics
 
 	// hook, when set, observes every completion event.
 	hook func(step uint64, pid int)
@@ -110,21 +96,8 @@ func New(mem *shmem.Memory, procs []Process, sch sched.Scheduler) (*Sim, error) 
 	if sch.N() != len(procs) {
 		return nil, fmt.Errorf("%w: scheduler %d vs %d", ErrProcMismatch, sch.N(), len(procs))
 	}
-	n := len(procs)
-	return &Sim{
-		mem:         mem,
-		procs:       procs,
-		sch:         sch,
-		completions: make([]uint64, n),
-		indGaps:     make([]stats.Summary, n),
-		lastIndComp: make([]uint64, n),
-		indPrimed:   make([]bool, n),
-		maxIndGap:   make([]uint64, n),
-	}, nil
+	return &Sim{mem: mem, procs: procs, sch: sch, Metrics: newMetrics(1, len(procs))}, nil
 }
-
-// N returns the number of processes.
-func (s *Sim) N() int { return len(s.procs) }
 
 // ProcessAt returns the pid-th process, for extracting
 // algorithm-specific metrics after a run.
@@ -154,7 +127,7 @@ func (s *Sim) Step() error {
 	if !s.procs[pid].Step(s.mem) {
 		return nil
 	}
-	s.recordCompletion(pid)
+	s.complete(pid)
 	return nil
 }
 
@@ -192,31 +165,15 @@ func (s *Sim) observedStep(pid int) error {
 		s.retryIter[pid] = 0
 		s.retryPending[pid] = false
 		s.inOp[pid] = false
-		s.recordCompletion(pid)
+		s.complete(pid)
 	}
 	return nil
 }
 
-func (s *Sim) recordCompletion(pid int) {
-	s.completions[pid]++
-	s.totalComp++
-
-	if s.sysPrimed {
-		s.sysGaps.Add(float64(s.steps - s.lastSysComp))
-	}
-	s.lastSysComp = s.steps
-	s.sysPrimed = true
-
-	if s.indPrimed[pid] {
-		gap := s.steps - s.lastIndComp[pid]
-		s.indGaps[pid].Add(float64(gap))
-		if gap > s.maxIndGap[pid] {
-			s.maxIndGap[pid] = gap
-		}
-	}
-	s.lastIndComp[pid] = s.steps
-	s.indPrimed[pid] = true
-
+// complete books a completion by pid at the current step and
+// notifies the completion hook.
+func (s *Sim) complete(pid int) {
+	s.recordCompletion(0, pid)
 	if s.hook != nil {
 		s.hook(s.steps, pid)
 	}
@@ -269,7 +226,12 @@ func (s *Sim) Run(steps uint64) error {
 		}
 		s.steps++
 		if s.procs[pid].Step(s.mem) {
-			s.recordCompletion(pid)
+			// complete, inlined by hand: the extra call costs a few
+			// percent of a step here.
+			s.recordCompletion(0, pid)
+			if s.hook != nil {
+				s.hook(s.steps, pid)
+			}
 		}
 	}
 	return nil
@@ -280,10 +242,10 @@ func (s *Sim) Run(steps uint64) error {
 // maxSteps further steps.
 func (s *Sim) RunUntilCompletions(target, maxSteps uint64) error {
 	budget := maxSteps
-	for s.totalComp < target {
+	for s.TotalCompletions() < target {
 		if budget == 0 {
 			return fmt.Errorf("%w: %d completions after %d steps, want %d",
-				ErrBudgetExceeded, s.totalComp, maxSteps, target)
+				ErrBudgetExceeded, s.TotalCompletions(), maxSteps, target)
 		}
 		budget--
 		if err := s.Step(); err != nil {
@@ -293,133 +255,47 @@ func (s *Sim) RunUntilCompletions(target, maxSteps uint64) error {
 	return nil
 }
 
-// ResetMetrics discards the statistics gathered so far (warmup) while
-// keeping the simulation state. Subsequent latency estimates describe
-// only the post-reset window, approximating the stationary regime.
-func (s *Sim) ResetMetrics() {
-	s.sysGaps = stats.Summary{}
-	s.sysPrimed = false
-	for i := range s.indGaps {
-		s.indGaps[i] = stats.Summary{}
-		s.indPrimed[i] = false
-		s.maxIndGap[i] = 0
-	}
-	s.windowStart = s.steps
-	s.windowCompStart = s.totalComp
-}
-
-// Steps returns the total number of time units simulated.
-func (s *Sim) Steps() uint64 { return s.steps }
-
 // Completions returns a copy of the per-process completion counts.
-func (s *Sim) Completions() []uint64 {
-	out := make([]uint64, len(s.completions))
-	copy(out, s.completions)
-	return out
-}
+func (s *Sim) Completions() []uint64 { return s.Metrics.Completions(0) }
 
 // TotalCompletions returns the total number of completed invocations.
-func (s *Sim) TotalCompletions() uint64 { return s.totalComp }
+func (s *Sim) TotalCompletions() uint64 { return s.Metrics.TotalCompletions(0) }
 
 // SystemLatency returns the mean number of system steps between
 // consecutive completions (gap estimator), an error if fewer than two
 // completions were observed in the metrics window.
-func (s *Sim) SystemLatency() (float64, error) {
-	if s.sysGaps.N() == 0 {
-		return 0, ErrNoCompletions
-	}
-	return s.sysGaps.Mean(), nil
-}
+func (s *Sim) SystemLatency() (float64, error) { return s.Metrics.SystemLatency(0) }
 
 // SystemLatencyRatio returns steps/completions over the metrics
 // window (ratio estimator).
-func (s *Sim) SystemLatencyRatio() (float64, error) {
-	comps := s.totalComp - s.windowCompStart
-	if comps == 0 {
-		return 0, ErrNoCompletions
-	}
-	return float64(s.steps-s.windowStart) / float64(comps), nil
-}
+func (s *Sim) SystemLatencyRatio() (float64, error) { return s.Metrics.SystemLatencyRatio(0) }
 
 // IndividualLatency returns the mean number of system steps between
 // consecutive completions by process pid (gap estimator).
-func (s *Sim) IndividualLatency(pid int) (float64, error) {
-	if pid < 0 || pid >= len(s.procs) {
-		return 0, fmt.Errorf("machine: pid %d out of range", pid)
-	}
-	if s.indGaps[pid].N() == 0 {
-		return 0, fmt.Errorf("%w: process %d", ErrNoCompletions, pid)
-	}
-	return s.indGaps[pid].Mean(), nil
-}
+func (s *Sim) IndividualLatency(pid int) (float64, error) { return s.Metrics.IndividualLatency(0, pid) }
 
 // MeanIndividualLatency averages the individual latency across all
 // processes that completed at least two invocations; it returns an
 // error if no process did.
-func (s *Sim) MeanIndividualLatency() (float64, error) {
-	var sum float64
-	count := 0
-	for pid := range s.procs {
-		if s.indGaps[pid].N() == 0 {
-			continue
-		}
-		sum += s.indGaps[pid].Mean()
-		count++
-	}
-	if count == 0 {
-		return 0, ErrNoCompletions
-	}
-	return sum / float64(count), nil
-}
+func (s *Sim) MeanIndividualLatency() (float64, error) { return s.Metrics.MeanIndividualLatency(0) }
 
 // MaxIndividualGap returns the largest observed inter-completion gap
 // for pid (in system steps) within the metrics window; used as the
 // starvation witness in E9.
-func (s *Sim) MaxIndividualGap(pid int) (uint64, error) {
-	if pid < 0 || pid >= len(s.procs) {
-		return 0, fmt.Errorf("machine: pid %d out of range", pid)
-	}
-	return s.maxIndGap[pid], nil
-}
+func (s *Sim) MaxIndividualGap(pid int) (uint64, error) { return s.Metrics.MaxIndividualGap(0, pid) }
 
 // CompletionRate returns completions per system step over the metrics
 // window — the quantity plotted in Figure 5 (the inverse of system
 // latency).
-func (s *Sim) CompletionRate() float64 {
-	steps := s.steps - s.windowStart
-	if steps == 0 {
-		return 0
-	}
-	return float64(s.totalComp-s.windowCompStart) / float64(steps)
-}
+func (s *Sim) CompletionRate() float64 { return s.Metrics.CompletionRate(0) }
 
 // StarvedProcesses returns the ids of processes with zero completions
 // so far; with enough steps under a stochastic scheduler this should
 // be empty for bounded lock-free algorithms (Theorem 3), and non-empty
 // for Algorithm 1 (Lemma 2).
-func (s *Sim) StarvedProcesses() []int {
-	var out []int
-	for pid, c := range s.completions {
-		if c == 0 {
-			out = append(out, pid)
-		}
-	}
-	return out
-}
+func (s *Sim) StarvedProcesses() []int { return s.Metrics.StarvedProcesses(0) }
 
 // FairnessIndex returns Jain's fairness index of the per-process
 // completion counts: (Σx)² / (n·Σx²), which is 1 for perfectly equal
 // progress and 1/n when one process monopolises completions.
-func (s *Sim) FairnessIndex() float64 {
-	var sum, sumSq float64
-	for _, c := range s.completions {
-		x := float64(c)
-		sum += x
-		sumSq += x * x
-	}
-	if sumSq == 0 {
-		return math.NaN()
-	}
-	n := float64(len(s.completions))
-	return sum * sum / (n * sumSq)
-}
+func (s *Sim) FairnessIndex() float64 { return s.Metrics.FairnessIndex(0) }

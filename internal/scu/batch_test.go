@@ -140,7 +140,9 @@ func groupCases() []groupCase {
 				procs, err := u.Processes(counterOps)
 				return scalarRun{procs: procs, mem: mem, check: u.Check}, err
 			},
-			func(k, n int) (machine.BatchGroup, error) { return NewLFUniversalBatch(CounterObject{}, k, n, counterOps) },
+			func(k, n int) (machine.BatchGroup, error) {
+				return NewLFUniversalBatch(CounterObject{}, k, n, counterOps)
+			},
 		},
 	}
 }
@@ -148,7 +150,7 @@ func groupCases() []groupCase {
 // TestBatchSimMatchesScalarSims runs a BatchSim (uniform batch drawer
 // + batch group) against K scalar Sims built from the same seeds and
 // demands bit-identical metrics for every replica — including across
-// a mid-run ResetMetrics, mirroring the warmup flow of sweep.measure.
+// a mid-run ResetMetrics, the warmup flow of a sweep point.
 func TestBatchSimMatchesScalarSims(t *testing.T) {
 	const (
 		n      = 17
@@ -264,6 +266,23 @@ func compareReplica(t *testing.T, bs *machine.BatchSim, s *machine.Sim, r int) {
 	sInd, sErr := s.MeanIndividualLatency()
 	if bInd != sInd || (bErr == nil) != (sErr == nil) {
 		t.Errorf("replica %d: MeanIndividualLatency = %v/%v, scalar %v/%v", r, bInd, bErr, sInd, sErr)
+	}
+	bRatio, bErr := bs.SystemLatencyRatio(r)
+	sRatio, sErr := s.SystemLatencyRatio()
+	if bRatio != sRatio || (bErr == nil) != (sErr == nil) {
+		t.Errorf("replica %d: SystemLatencyRatio = %v/%v, scalar %v/%v", r, bRatio, bErr, sRatio, sErr)
+	}
+	for pid := -1; pid <= s.N(); pid++ { // one out-of-range pid on each side
+		bLat, bErr := bs.IndividualLatency(r, pid)
+		sLat, sErr := s.IndividualLatency(pid)
+		if bLat != sLat || fmt.Sprint(bErr) != fmt.Sprint(sErr) {
+			t.Errorf("replica %d: IndividualLatency(%d) = %v/%v, scalar %v/%v", r, pid, bLat, bErr, sLat, sErr)
+		}
+		bGap, bErr := bs.MaxIndividualGap(r, pid)
+		sGap, sErr := s.MaxIndividualGap(pid)
+		if bGap != sGap || fmt.Sprint(bErr) != fmt.Sprint(sErr) {
+			t.Errorf("replica %d: MaxIndividualGap(%d) = %v/%v, scalar %v/%v", r, pid, bGap, bErr, sGap, sErr)
+		}
 	}
 	if got, want := bs.CompletionRate(r), s.CompletionRate(); got != want {
 		t.Errorf("replica %d: CompletionRate = %v, scalar %v", r, got, want)
@@ -387,9 +406,15 @@ func TestBatchGroupErrors(t *testing.T) {
 		func() error { _, err := NewRCUBatch(2, 4, 4, 8); return err },
 		func() error { _, err := NewUnboundedBatch(0, 4, 0); return err },
 		func() error { _, err := NewUnboundedBatch(2, 4, -1); return err },
-		func() error { _, err := NewLFUniversalBatch(nil, 2, 4, func(int, int64) int64 { return 1 }); return err },
+		func() error {
+			_, err := NewLFUniversalBatch(nil, 2, 4, func(int, int64) int64 { return 1 })
+			return err
+		},
 		func() error { _, err := NewLFUniversalBatch(CounterObject{}, 2, 4, nil); return err },
-		func() error { _, err := NewLFUniversalBatch(CounterObject{}, 2, 0, func(int, int64) int64 { return 1 }); return err },
+		func() error {
+			_, err := NewLFUniversalBatch(CounterObject{}, 2, 0, func(int, int64) int64 { return 1 })
+			return err
+		},
 	} {
 		if err := fn(); !errors.Is(err, ErrBadParams) {
 			t.Errorf("constructor edge: err = %v, want ErrBadParams", err)

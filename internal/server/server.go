@@ -595,18 +595,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		api.Version, st.id, len(grid.Jobs), st.id)
 }
 
-// distinctFamilies counts the batchable families of a grid — jobs
-// agreeing on the full workload and scheduler parameterization (not
-// just the kinds: different weight vectors are different families),
-// the process and crash counts, and exactness, matching the sweep
-// dispatcher's family key. The difference against len(jobs) is the
-// coalescing opportunity the batching dispatcher exploits.
+// distinctFamilies counts the families of a grid, keyed exactly as the
+// sweep dispatcher keys them (sweep.FamilyKey). The difference against
+// len(jobs) is the coalescing opportunity the batching dispatcher
+// exploits.
 func distinctFamilies(jobs []api.Job) int {
 	seen := make(map[string]bool, len(jobs))
 	for _, j := range jobs {
-		seen[fmt.Sprintf("%s|q%d|s%d|w%d|p%d|n%d|c%d|x%t|%s",
-			j.Workload.Kind, j.Workload.Q, j.Workload.S, j.Workload.WaitFactor,
-			j.Workload.PoolSize, j.N, j.Crash, j.Exact, j.Sched)] = true
+		seen[sweep.FamilyKey(j.Sweep())] = true
 	}
 	return len(seen)
 }

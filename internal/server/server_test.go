@@ -413,6 +413,12 @@ func TestStructuredErrors(t *testing.T) {
 		{"unknown field", `{"v":1,"seed":1,"jobs":[{"workload":{"kind":"scu"},"n":2,"steps":10,"warmup_fraction":0,"bogus":1}]}`,
 			http.StatusBadRequest, api.CodeInvalidGrid},
 		{"empty grid", `{"v":1,"seed":1,"jobs":[]}`, http.StatusBadRequest, api.CodeInvalidGrid},
+		// Shapes the sweep engine cannot build are refused at admission,
+		// not accepted and failed later as internal errors.
+		{"scu without scan length", `{"v":1,"seed":1,"jobs":[{"workload":{"kind":"scu"},"n":2,"steps":10,"warmup_fraction":0}]}`,
+			http.StatusBadRequest, api.CodeInvalidGrid},
+		{"crash under adversary", `{"v":1,"seed":1,"jobs":[{"workload":{"kind":"scu","s":1},"n":2,"sched":"adversary:0","crash":1,"steps":10,"warmup_fraction":0}]}`,
+			http.StatusBadRequest, api.CodeInvalidGrid},
 		{"wrong version", `{"v":9,"seed":1,"jobs":[{"workload":{"kind":"scu"},"n":2,"steps":10,"warmup_fraction":0}]}`,
 			http.StatusBadRequest, api.CodeUnsupportedVersion},
 	} {

@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -10,9 +9,36 @@ import (
 	"pwf/internal/scu"
 )
 
-// errNoBatchForm reports a job shape without a struct-of-arrays
-// implementation; the caller falls back to scalar execution.
-var errNoBatchForm = errors.New("sweep: no batched form for this job shape")
+// batchForms builds each batchable workload's struct-of-arrays group
+// for k replicas of n processes, with the same defaults as
+// Workload.build. It is the one list of batchable kinds: a kind runs
+// replica-batched exactly when it has an entry here.
+var batchForms = map[WorkloadKind]func(w Workload, k, n int) (machine.BatchGroup, error){
+	SCU: func(w Workload, k, n int) (machine.BatchGroup, error) {
+		return scu.NewSCUBatch(k, n, w.Q, w.S)
+	},
+	Parallel: func(w Workload, k, n int) (machine.BatchGroup, error) {
+		return scu.NewParallelBatch(k, n, w.Q)
+	},
+	FetchInc: func(w Workload, k, n int) (machine.BatchGroup, error) {
+		return scu.NewFetchIncBatch(k, n)
+	},
+	Unbounded: func(w Workload, k, n int) (machine.BatchGroup, error) {
+		return scu.NewUnboundedBatch(k, n, w.WaitFactor)
+	},
+	Stack: func(w Workload, k, n int) (machine.BatchGroup, error) {
+		return scu.NewStackBatch(k, n, w.pool())
+	},
+	Queue: func(w Workload, k, n int) (machine.BatchGroup, error) {
+		return scu.NewQueueBatch(k, n, w.pool())
+	},
+	RCU: func(w Workload, k, n int) (machine.BatchGroup, error) {
+		return scu.NewRCUBatch(k, n, rcuReaders(n), w.pool())
+	},
+	LFUniversal: func(w Workload, k, n int) (machine.BatchGroup, error) {
+		return scu.NewLFUniversalBatch(scu.CounterObject{}, k, n, func(pid int, seq int64) int64 { return 1 })
+	},
+}
 
 // batchable reports whether a point can run on the replica-batched
 // path: the workload has a struct-of-arrays form and nothing wants to
@@ -26,12 +52,9 @@ func batchable(cfg Config, job Job) bool {
 // surfaced through Config.OnBatchFallback so users learn when replica
 // batching silently did nothing.
 func batchFallbackReason(cfg Config, job Job) string {
-	switch job.Workload.Kind {
-	case SCU, Parallel, FetchInc, Unbounded, Stack, Queue, RCU, LFUniversal:
-	default:
-		return fmt.Sprintf("workload %q has no batched form", job.Workload.Kind)
-	}
 	switch {
+	case batchForms[job.Workload.Kind] == nil:
+		return fmt.Sprintf("workload %q has no batched form", job.Workload.Kind)
 	case job.CompletionHook != nil:
 		return "job has a per-job completion hook"
 	case job.Recorder != nil:
@@ -43,7 +66,8 @@ func batchFallbackReason(cfg Config, job Job) string {
 }
 
 // buildBatchDrawer constructs the batched scheduler for n processes
-// and one rng stream per replica, mirroring SchedulerSpec.build.
+// and one rng stream per replica, with the same defaults as
+// SchedulerSpec.build.
 func buildBatchDrawer(s SchedulerSpec, n int, seeds []uint64) (sched.BatchDrawer, error) {
 	switch s.Kind {
 	case "", SchedUniform:
@@ -53,29 +77,11 @@ func buildBatchDrawer(s SchedulerSpec, n int, seeds []uint64) (sched.BatchDrawer
 	case SchedSticky:
 		return sched.NewStickyBatch(n, s.Rho, seeds)
 	case SchedLottery:
-		tickets := s.Tickets
-		if tickets == nil {
-			tickets = make([]int, n)
-			for i := range tickets {
-				tickets[i] = 1
-			}
-		}
-		return sched.NewLotteryBatch(tickets, seeds)
+		return sched.NewLotteryBatch(orOnes(s.Tickets, n), seeds)
 	case SchedWeighted:
-		weights := s.Weights
-		if weights == nil {
-			weights = make([]float64, n)
-			for i := range weights {
-				weights[i] = 1
-			}
-		}
-		return sched.NewWeightedBatch(weights, seeds)
+		return sched.NewWeightedBatch(orOnes(s.Weights, n), seeds)
 	case SchedPhased:
-		phases := make([]sched.Phase, len(s.Phases))
-		for i, ph := range s.Phases {
-			phases[i] = sched.Phase{Weights: ph.Weights, Steps: ph.Steps}
-		}
-		return sched.NewPhasedBatch(n, phases, seeds)
+		return sched.NewPhasedBatch(n, s.phases(), seeds)
 	case SchedAdversary:
 		return sched.NewAdversarialBatch(n, len(seeds), sched.SingleOut(s.Victim))
 	default:
@@ -83,47 +89,19 @@ func buildBatchDrawer(s SchedulerSpec, n int, seeds []uint64) (sched.BatchDrawer
 	}
 }
 
-// buildBatchGroup constructs the struct-of-arrays process group for k
-// replicas of the workload, mirroring Workload.build for the kinds
-// that have batched forms.
-func buildBatchGroup(w Workload, k, n int) (machine.BatchGroup, error) {
-	switch w.Kind {
-	case SCU:
-		return scu.NewSCUBatch(k, n, w.Q, w.S)
-	case Parallel:
-		return scu.NewParallelBatch(k, n, w.Q)
-	case FetchInc:
-		return scu.NewFetchIncBatch(k, n)
-	case Unbounded:
-		return scu.NewUnboundedBatch(k, n, w.WaitFactor)
-	case Stack:
-		return scu.NewStackBatch(k, n, w.pool(64))
-	case Queue:
-		return scu.NewQueueBatch(k, n, w.pool(64))
-	case RCU:
-		readers := n - 1 - (n-1)/4 // read-mostly: ~3/4 readers, as Workload.build
-		return scu.NewRCUBatch(k, n, readers, w.pool(64))
-	case LFUniversal:
-		return scu.NewLFUniversalBatch(scu.CounterObject{}, k, n,
-			func(pid int, seq int64) int64 { return 1 })
-	default:
-		return nil, fmt.Errorf("%w: workload %q", errNoBatchForm, w.Kind)
-	}
-}
-
-// runJobBatch executes len(seeds) same-shape points (jobs[r] differs
-// from jobs[0] at most in Label) in one lockstep BatchSim. It returns
-// one Result and one error slot per replica; the third return value
-// is a batch-level construction failure, after which nothing ran and
-// the caller should fall back to per-point scalar execution.
+// runJobBatch executes len(seeds) same-shape batchable points (jobs[r]
+// differs from jobs[0] at most in Label) in one lockstep BatchSim. It
+// returns one Result and one error slot per replica; the third return
+// value is a batch-level construction failure, after which nothing
+// ran.
 //
 // Replica r evolves exactly as RunJob(jobs[r], seeds[r], cache): the
 // scheduler draws replica r's stream through the same sampling
 // structures, the workload transitions through the same states, and
-// the metric accumulators update in the same order — so each Result
-// is byte-identical to the scalar path's, except Elapsed (wall time,
-// never deterministic), which reports the per-replica share of the
-// batch.
+// the Metrics block and collect assemble the Result the same way — so
+// each Result is byte-identical to the scalar path's, except Elapsed
+// (wall time, never deterministic), which reports the per-replica share
+// of the batch.
 func runJobBatch(jobs []Job, seeds []uint64, cache *ChainCache) ([]Result, []error, error) {
 	if len(jobs) == 0 || len(jobs) != len(seeds) {
 		return nil, nil, fmt.Errorf("sweep: batch of %d jobs with %d seeds", len(jobs), len(seeds))
@@ -132,9 +110,6 @@ func runJobBatch(jobs []Job, seeds []uint64, cache *ChainCache) ([]Result, []err
 	if err := job.Validate(); err != nil {
 		return nil, nil, err
 	}
-	if cache == nil {
-		cache = DefaultCache
-	}
 	k := len(seeds)
 	began := time.Now()
 
@@ -142,18 +117,10 @@ func runJobBatch(jobs []Job, seeds []uint64, cache *ChainCache) ([]Result, []err
 	if err != nil {
 		return nil, nil, err
 	}
-	if job.Crash > 0 {
-		crasher, ok := drawer.(sched.BatchCrasher)
-		if !ok {
-			return nil, nil, fmt.Errorf("%w: scheduler %q does not support crashes", errNoBatchForm, job.Sched)
-		}
-		for pid := job.N - job.Crash; pid < job.N; pid++ {
-			if err := crasher.Crash(pid); err != nil {
-				return nil, nil, fmt.Errorf("sweep: crash process %d: %w", pid, err)
-			}
-		}
+	if err := crashTail(job, drawer); err != nil {
+		return nil, nil, err
 	}
-	group, err := buildBatchGroup(job.Workload, k, job.N)
+	group, err := batchForms[job.Workload.Kind](job.Workload, k, job.N)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -161,14 +128,7 @@ func runJobBatch(jobs []Job, seeds []uint64, cache *ChainCache) ([]Result, []err
 	if err != nil {
 		return nil, nil, err
 	}
-
-	if warmup := uint64(job.WarmupFraction * float64(job.Steps)); warmup > 0 {
-		if err := sim.Run(warmup); err != nil {
-			return nil, nil, err
-		}
-	}
-	sim.ResetMetrics()
-	if err := sim.Run(job.Steps); err != nil {
+	if err := runWindow(sim, job); err != nil {
 		return nil, nil, err
 	}
 
@@ -180,43 +140,20 @@ func runJobBatch(jobs []Job, seeds []uint64, cache *ChainCache) ([]Result, []err
 	chk, _ := group.(machine.BatchChecker)
 	share := time.Since(began) / time.Duration(k)
 	results := make([]Result, k)
-	perr := make([]error, k)
-	for r := 0; r < k; r++ {
-		res := Result{
-			Label: jobs[r].Label,
-			Job:   jobs[r],
-			Seed:  seeds[r],
-			Theta: drawer.Threshold(),
-		}
-		var lat Latencies
-		if lat.System, err = sim.SystemLatency(r); err != nil {
-			perr[r] = err
-			continue
-		}
-		if lat.Individual, err = sim.MeanIndividualLatency(r); err != nil {
-			perr[r] = err
-			continue
-		}
-		lat.CompletionRate = sim.CompletionRate(r)
-		lat.Fairness = sim.FairnessIndex(r)
-		lat.Completions = sim.TotalCompletions(r)
-		res.Latencies = lat
-		res.ProcCompletions = sim.Completions(r)
-		res.Starved = sim.StarvedProcesses(r)
+	errs := make([]error, k)
+	for r := range results {
+		var check func() error
 		if chk != nil {
-			// Post-run invariant check, mirroring RunJob's built.check
-			// call at the same position: a failing replica yields a
-			// zero Result and the check error.
-			if cerr := chk.CheckReplica(r); cerr != nil {
-				perr[r] = cerr
-				continue
-			}
+			check = func() error { return chk.CheckReplica(r) }
 		}
-		if job.Exact {
-			res.Exact, res.ExactOK = exact, exactOK
+		res, err := collect(jobs[r], seeds[r], drawer.Threshold(), &sim.Metrics, r, check)
+		if err != nil {
+			errs[r] = err
+			continue
 		}
+		res.Exact, res.ExactOK = exact, exactOK
 		res.Elapsed = share
 		results[r] = res
 	}
-	return results, perr, nil
+	return results, errs, nil
 }

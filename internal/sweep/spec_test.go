@@ -7,6 +7,36 @@ import (
 	"testing"
 )
 
+// The -scheds list grammar splits on commas that start a new
+// scheduler name and on semicolons, never inside an entry's arguments.
+func TestParseSchedulerList(t *testing.T) {
+	for in, want := range map[string]string{
+		"uniform":                       "uniform",
+		"uniform, sticky:0.5,lottery":   "uniform|sticky:0.5|lottery",
+		"lottery:1,2,uniform":           "lottery:1,2|uniform",
+		"phased:3,1@50/1,3@50;weighted": "phased:3,1@50/1,3@50|weighted",
+		"weighted:1,2;lottery:3,4":      "weighted:1,2|lottery:3,4",
+	} {
+		specs, err := ParseSchedulerList(in)
+		if err != nil {
+			t.Errorf("%q: %v", in, err)
+			continue
+		}
+		names := make([]string, len(specs))
+		for i, s := range specs {
+			names[i] = s.String()
+		}
+		if got := strings.Join(names, "|"); got != want {
+			t.Errorf("%q parsed as %q, want %q", in, got, want)
+		}
+	}
+	for _, in := range []string{"", "uniform,", "bogus", "lottery:1,,2", "sticky:1.5,uniform"} {
+		if specs, err := ParseSchedulerList(in); err == nil {
+			t.Errorf("%q parsed as %v, want an error", in, specs)
+		}
+	}
+}
+
 // The full scheduler grammar, table-driven: every form the CLIs and
 // the server's JSON decoding share.
 func TestParseSchedulerFullGrammar(t *testing.T) {

@@ -25,7 +25,6 @@ import (
 	"pwf/internal/machine"
 	"pwf/internal/obs"
 	"pwf/internal/rng"
-	"pwf/internal/sched"
 )
 
 // Latencies aggregates the measurements of one simulation run. It is
@@ -63,7 +62,7 @@ type Job struct {
 	// warmup; use DefaultWarmupFraction for the conventional 10%.
 	WarmupFraction float64 `json:"warmup_fraction"`
 	// Crash fail-stops the highest-id Crash processes before the run;
-	// the scheduler must support crashes.
+	// every scheduler but the adversary supports crashes.
 	Crash int `json:"crash,omitempty"`
 	// Exact requests the exact-chain system latency alongside the
 	// simulation, where a chain family exists (SCU, FetchInc,
@@ -116,6 +115,9 @@ func (j Job) Validate() error {
 	}
 	if j.Crash < 0 || j.Crash >= j.N {
 		return fmt.Errorf("sweep: cannot crash %d of %d processes", j.Crash, j.N)
+	}
+	if j.Crash > 0 && j.Sched.Kind == SchedAdversary {
+		return fmt.Errorf("sweep: scheduler %q does not support crashes", j.Sched)
 	}
 	if j.Replicas < 0 {
 		return fmt.Errorf("sweep: negative replica count %d", j.Replicas)
@@ -207,9 +209,11 @@ type Config struct {
 	// scheduler draw table and one workload state block stepping all
 	// replicas per loop iteration. 0 and 1 select the scalar path.
 	// Every point still draws from rng.Stream(Seed, i) and batched
-	// results are byte-identical to the scalar path; shapes without a
-	// batched form (data-structure workloads, per-job hooks or
-	// recorders) fall back to scalar execution transparently.
+	// results are byte-identical to the scalar path, errors included.
+	// Points that cannot batch (a workload without a batched form, a
+	// per-job hook or recorder, a sweep recorder) run on the scalar
+	// path, as OnBatchFallback reports; a batch that fails to build
+	// fails its points with the construction error.
 	ReplicaBatch int
 	// Progress, when non-nil, is called after each job completes with
 	// the number of completed jobs and the total. Calls are serialized
@@ -253,8 +257,8 @@ type Config struct {
 	// OnBatchFallback, when non-nil and ReplicaBatch > 1, is called at
 	// most once per distinct reason when points fall back to scalar
 	// execution — a workload without a batched form, a per-job hook or
-	// recorder, or a batch construction failure. Calls are serialized
-	// but may come from any worker.
+	// recorder, or a sweep recorder. Calls are serialized but may come
+	// from any worker.
 	OnBatchFallback func(reason string)
 }
 
@@ -294,22 +298,24 @@ func expandPoints(cfg Config) []Job {
 // exactly this expansion.
 func Points(cfg Config) []Job { return expandPoints(cfg) }
 
-// familyKey renders everything that determines which code paths and
+// FamilyKey renders everything that determines which code paths and
 // ChainCache entries a job exercises: the full workload and scheduler
 // parameterization (not just the kinds — two weighted schedulers with
 // different weight vectors are different families), the process and
-// crash counts, and exactness.
-func familyKey(j Job) string {
+// crash counts, and exactness. Jobs with equal keys form one family:
+// Config.BatchFamilies runs them adjacently, and pwfserve counts the
+// jobs that share a family as coalesced.
+func FamilyKey(j Job) string {
 	return fmt.Sprintf("%s|q%d|s%d|w%d|p%d|n%d|c%d|x%t|%s",
 		j.Workload.Kind, j.Workload.Q, j.Workload.S, j.Workload.WaitFactor,
 		j.Workload.PoolSize, j.N, j.Crash, j.Exact, j.Sched)
 }
 
-// shapeKey extends familyKey with the run length: points with equal
+// shapeKey extends FamilyKey with the run length: points with equal
 // shape keys are identical jobs apart from Label and can share one
 // lockstep replica batch.
 func shapeKey(j Job) string {
-	return fmt.Sprintf("%s|t%d|f%g", familyKey(j), j.Steps, j.WarmupFraction)
+	return fmt.Sprintf("%s|t%d|f%g", FamilyKey(j), j.Steps, j.WarmupFraction)
 }
 
 // dispatchGroups returns the units of work handed to workers: point
@@ -430,10 +436,6 @@ func Run(cfg Config) ([]Result, error) {
 	}
 	points := expandPoints(cfg)
 	total := len(points)
-	cache := cfg.Cache
-	if cache == nil {
-		cache = DefaultCache
-	}
 	var ctxDone <-chan struct{}
 	if cfg.Context != nil {
 		ctxDone = cfg.Context.Done()
@@ -505,9 +507,6 @@ func Run(cfg Config) ([]Result, error) {
 		var fmu sync.Mutex
 		seen := make(map[string]bool)
 		noteFallback = func(reason string) {
-			if reason == "" {
-				return
-			}
 			fmu.Lock()
 			defer fmu.Unlock()
 			if seen[reason] {
@@ -554,7 +553,7 @@ func Run(cfg Config) ([]Result, error) {
 		if cfg.Recorder != nil {
 			cfg.Recorder.Record(obs.Event{Kind: obs.KindJobStart, Job: i, Label: job.Label})
 		}
-		res, err := RunJob(job, rng.Stream(cfg.Seed, uint64(i)), cache)
+		res, err := RunJob(job, rng.Stream(cfg.Seed, uint64(i)), cfg.Cache)
 		res.Index = i
 		if cfg.Recorder != nil {
 			cfg.Recorder.Record(obs.Event{
@@ -587,17 +586,10 @@ func Run(cfg Config) ([]Result, error) {
 					jobs[r] = points[i]
 					seeds[r] = rng.Stream(cfg.Seed, uint64(i))
 				}
-				batchRes, batchErrs, err := runJobBatch(jobs, seeds, cache)
+				batchRes, batchErrs, err := runJobBatch(jobs, seeds, cfg.Cache)
 				if err != nil {
-					// No batched form (or batch construction failed):
-					// run the group's points on the scalar path, which
-					// either succeeds or reports the real error.
-					if batchFallbacks != nil {
-						batchFallbacks.Add(uint64(len(grp)))
-						noteFallback(err.Error())
-					}
 					for _, i := range grp {
-						runScalar(i)
+						finish(i, Result{}, err)
 					}
 					continue
 				}
@@ -647,29 +639,14 @@ func RunJob(job Job, seed uint64, cache *ChainCache) (Result, error) {
 	if err := job.Validate(); err != nil {
 		return Result{}, err
 	}
-	if cache == nil {
-		cache = DefaultCache
-	}
 	began := time.Now()
 
 	scheduler, err := job.Sched.build(job.N, seed)
 	if err != nil {
 		return Result{}, err
 	}
-	if job.Crash > 0 {
-		crasher, ok := scheduler.(sched.Crasher)
-		if !ok {
-			return Result{}, fmt.Errorf("sweep: scheduler %q does not support crashes", job.Sched)
-		}
-		for pid := job.N - job.Crash; pid < job.N; pid++ {
-			if err := crasher.Crash(pid); err != nil {
-				return Result{}, fmt.Errorf("sweep: crash process %d: %w", pid, err)
-			}
-			if job.Recorder != nil {
-				// Pre-run crashes take effect before step 1.
-				job.Recorder.Record(obs.Event{Kind: obs.KindCrash, Step: 0, PID: pid})
-			}
-		}
+	if err := crashTail(job, scheduler); err != nil {
+		return Result{}, err
 	}
 	b, err := job.Workload.build(job.N)
 	if err != nil {
@@ -679,28 +656,15 @@ func RunJob(job Job, seed uint64, cache *ChainCache) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	if job.CompletionHook != nil {
-		sim.SetCompletionHook(job.CompletionHook)
-	}
-	if job.Recorder != nil {
-		sim.SetRecorder(job.Recorder)
-	}
-
-	res := Result{
-		Label: job.Label,
-		Job:   job,
-		Seed:  seed,
-		Theta: scheduler.Threshold(),
-	}
-	if res.Latencies, err = measure(sim, job.Steps, job.WarmupFraction); err != nil {
+	sim.SetCompletionHook(job.CompletionHook)
+	sim.SetRecorder(job.Recorder)
+	if err := runWindow(sim, job); err != nil {
 		return Result{}, err
 	}
-	res.ProcCompletions = sim.Completions()
-	res.Starved = sim.StarvedProcesses()
-	if b.check != nil {
-		if err := b.check(); err != nil {
-			return Result{}, err
-		}
+
+	res, err := collect(job, seed, scheduler.Threshold(), &sim.Metrics, 0, b.check)
+	if err != nil {
+		return Result{}, err
 	}
 	if job.Exact {
 		res.Exact, res.ExactOK = exactLatency(job, cache)
@@ -709,30 +673,68 @@ func RunJob(job Job, seed uint64, cache *ChainCache) (Result, error) {
 	return res, nil
 }
 
-// measure runs the warmup, discards its metrics, runs the measurement
-// window and collects Latencies.
-func measure(sim *machine.Sim, steps uint64, warmupFraction float64) (Latencies, error) {
-	if warmup := uint64(warmupFraction * float64(steps)); warmup > 0 {
+// crashTail fail-stops the job's highest-id Crash processes before
+// step 1 through the scheduler's Crash method — a sched.Crasher or a
+// sched.BatchCrasher, which crashes the pid in every replica.
+func crashTail(job Job, scheduler any) error {
+	if job.Crash == 0 {
+		return nil
+	}
+	crasher, ok := scheduler.(interface{ Crash(pid int) error })
+	if !ok {
+		return fmt.Errorf("sweep: scheduler %q does not support crashes", job.Sched)
+	}
+	for pid := job.N - job.Crash; pid < job.N; pid++ {
+		if err := crasher.Crash(pid); err != nil {
+			return fmt.Errorf("sweep: crash process %d: %w", pid, err)
+		}
+		if job.Recorder != nil {
+			job.Recorder.Record(obs.Event{Kind: obs.KindCrash, Step: 0, PID: pid})
+		}
+	}
+	return nil
+}
+
+// runWindow runs the job's warmup, discards its metrics, and runs the
+// measurement window, on a machine.Sim or a machine.BatchSim.
+func runWindow(sim interface {
+	Run(steps uint64) error
+	ResetMetrics()
+}, job Job) error {
+	if warmup := uint64(job.WarmupFraction * float64(job.Steps)); warmup > 0 {
 		if err := sim.Run(warmup); err != nil {
-			return Latencies{}, err
+			return err
 		}
 	}
 	sim.ResetMetrics()
-	if err := sim.Run(steps); err != nil {
-		return Latencies{}, err
-	}
-	var out Latencies
+	return sim.Run(job.Steps)
+}
+
+// collect assembles replica r's Result from a finished run: the
+// latencies, the per-process counts, then the post-run invariant check
+// (nil for none), whose failure yields a zero Result. RunJob and
+// runJobBatch both build their points here.
+func collect(job Job, seed uint64, theta float64, m *machine.Metrics, r int, check func() error) (Result, error) {
+	res := Result{Label: job.Label, Job: job, Seed: seed, Theta: theta}
+	lat := &res.Latencies
 	var err error
-	if out.System, err = sim.SystemLatency(); err != nil {
-		return Latencies{}, err
+	if lat.System, err = m.SystemLatency(r); err != nil {
+		return Result{}, err
 	}
-	if out.Individual, err = sim.MeanIndividualLatency(); err != nil {
-		return Latencies{}, err
+	if lat.Individual, err = m.MeanIndividualLatency(r); err != nil {
+		return Result{}, err
 	}
-	out.CompletionRate = sim.CompletionRate()
-	out.Fairness = sim.FairnessIndex()
-	out.Completions = sim.TotalCompletions()
-	return out, nil
+	lat.CompletionRate = m.CompletionRate(r)
+	lat.Fairness = m.FairnessIndex(r)
+	lat.Completions = m.TotalCompletions(r)
+	res.ProcCompletions = m.Completions(r)
+	res.Starved = m.StarvedProcesses(r)
+	if check != nil {
+		if err := check(); err != nil {
+			return Result{}, err
+		}
+	}
+	return res, nil
 }
 
 // exactLatency computes the exact-chain system latency for the job's
@@ -740,6 +742,9 @@ func measure(sim *machine.Sim, steps uint64, warmupFraction float64) (Latencies,
 // state space yields ok = false, not an error: sweeps routinely mix
 // tractable and intractable points.
 func exactLatency(job Job, cache *ChainCache) (w float64, ok bool) {
+	if cache == nil {
+		cache = DefaultCache
+	}
 	var (
 		a   interface{ SystemLatency() (float64, error) }
 		err error

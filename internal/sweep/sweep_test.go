@@ -185,6 +185,12 @@ func TestSweepValidation(t *testing.T) {
 			return j
 		}(),
 		func() Job { j := base; j.Sched = SchedulerSpec{Kind: SchedAdversary, Victim: 4}; return j }(),
+		// Shapes that validated but could not be built.
+		{Workload: Workload{Kind: SCU}, N: 4, Steps: 1000}, // the wire default: S = 0
+		{Workload: Workload{Kind: SCU, Q: -1, S: 1}, N: 4, Steps: 1000},
+		{Workload: Workload{Kind: Unbounded, WaitFactor: -1}, N: 4, Steps: 1000},
+		{Workload: Workload{Kind: WFUniversal, PoolSize: 1}, N: 4, Steps: 1000},
+		func() Job { j := base; j.Sched = SchedulerSpec{Kind: SchedAdversary}; j.Crash = 1; return j }(),
 	}
 	for i, job := range bad {
 		if err := job.Validate(); err == nil {
@@ -194,8 +200,12 @@ func TestSweepValidation(t *testing.T) {
 			t.Errorf("bad job %d ran: %+v", i, job)
 		}
 	}
-	if err := base.Validate(); err != nil {
-		t.Errorf("good job rejected: %v", err)
+	for _, w := range []Workload{base.Workload, {Kind: Unbounded}, {Kind: WFUniversal, PoolSize: 2}} {
+		good := base
+		good.Workload = w
+		if err := good.Validate(); err != nil {
+			t.Errorf("good job %+v rejected: %v", w, err)
+		}
 	}
 	if _, err := Run(Config{Seed: 1}); err == nil {
 		t.Error("empty sweep ran")
@@ -205,7 +215,7 @@ func TestSweepValidation(t *testing.T) {
 func TestSweepJobErrorNamesJob(t *testing.T) {
 	// Round-robin supports no randomness but does support crashes;
 	// adversary supports neither. A crash request against the
-	// adversary must fail at run time with the job identified.
+	// adversary must fail the sweep with the job identified.
 	jobs := []Job{
 		{Workload: Workload{Kind: SCU, S: 1}, N: 4, Steps: 1000},
 		{Workload: Workload{Kind: SCU, S: 1}, N: 4, Steps: 1000,

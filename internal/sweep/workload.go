@@ -50,7 +50,7 @@ type Workload struct {
 	WaitFactor int64 `json:"wait_factor,omitempty"`
 	// PoolSize is the per-process node pool of the data-structure
 	// workloads (Stack, Queue, RCU, List, HashSet, WFUniversal);
-	// 0 selects 64 (8 for WFUniversal).
+	// 0 selects 64 (32 for HashSet, 8 for WFUniversal).
 	PoolSize int `json:"pool_size,omitempty"`
 }
 
@@ -66,22 +66,38 @@ func (w Workload) Validate(n int) error {
 	default:
 		return fmt.Errorf("sweep: unknown workload kind %q", w.Kind)
 	}
-	if w.Kind == Parallel && w.Q < 1 {
+	switch {
+	case w.Kind == SCU && (w.Q < 0 || w.S < 1):
+		return fmt.Errorf("sweep: scu needs Q >= 0 and S >= 1, got Q=%d S=%d", w.Q, w.S)
+	case w.Kind == Parallel && w.Q < 1:
 		return errors.New("sweep: parallel code needs Q >= 1")
-	}
-	if w.PoolSize < 0 {
+	case w.Kind == Unbounded && w.WaitFactor < 0:
+		return fmt.Errorf("sweep: negative wait factor %d", w.WaitFactor)
+	case w.PoolSize < 0:
 		return fmt.Errorf("sweep: negative pool size %d", w.PoolSize)
+	case w.Kind == WFUniversal && w.PoolSize == 1:
+		return errors.New("sweep: wfuniversal needs PoolSize >= 2")
 	}
 	return nil
 }
 
-// pool returns the configured pool size or the default.
-func (w Workload) pool(def int) int {
-	if w.PoolSize > 0 {
+// pool returns the configured pool size or the kind's default, the
+// one place the defaults documented on PoolSize are stated.
+func (w Workload) pool() int {
+	switch {
+	case w.PoolSize > 0:
 		return w.PoolSize
+	case w.Kind == HashSet:
+		return 32
+	case w.Kind == WFUniversal:
+		return 8
 	}
-	return def
+	return 64
 }
+
+// rcuReaders is the RCU workload's read-mostly split of n processes:
+// about 3/4 readers, always at least one writer.
+func rcuReaders(n int) int { return n - 1 - (n-1)/4 }
 
 // built is an assembled workload: the simulated memory, the process
 // group, and an optional post-run invariant check (data-structure
@@ -124,7 +140,7 @@ func (w Workload) build(n int) (built, error) {
 		procs, err := scu.NewUnboundedGroup(n, 0, w.WaitFactor)
 		return built{mem: mem, procs: procs}, err
 	case Stack:
-		pool := w.pool(64)
+		pool := w.pool()
 		st, err := scu.NewStack(n, pool, 0)
 		if err != nil {
 			return built{}, err
@@ -136,7 +152,7 @@ func (w Workload) build(n int) (built, error) {
 		procs, err := st.Processes()
 		return built{mem: mem, procs: procs, check: st.Check}, err
 	case Queue:
-		pool := w.pool(64)
+		pool := w.pool()
 		qu, err := scu.NewQueue(n, pool, 0)
 		if err != nil {
 			return built{}, err
@@ -149,8 +165,8 @@ func (w Workload) build(n int) (built, error) {
 		procs, err := qu.Processes()
 		return built{mem: mem, procs: procs, check: qu.Check}, err
 	case RCU:
-		pool := w.pool(64)
-		readers := n - 1 - (n-1)/4 // read-mostly: ~3/4 readers
+		pool := w.pool()
+		readers := rcuReaders(n)
 		r, err := scu.NewRCU(n, readers, pool, 0)
 		if err != nil {
 			return built{}, err
@@ -163,7 +179,7 @@ func (w Workload) build(n int) (built, error) {
 		return built{mem: mem, procs: procs, check: r.Check}, err
 	case List:
 		const keyspace = 32
-		pool := w.pool(64)
+		pool := w.pool()
 		l, err := scu.NewList(n, pool, 0)
 		if err != nil {
 			return built{}, err
@@ -180,7 +196,7 @@ func (w Workload) build(n int) (built, error) {
 			buckets  = 8
 			keyspace = 64
 		)
-		pool := w.pool(32)
+		pool := w.pool()
 		h, err := scu.NewHashSet(n, buckets, pool, 0)
 		if err != nil {
 			return built{}, err
@@ -204,7 +220,7 @@ func (w Workload) build(n int) (built, error) {
 		procs, err := u.Processes(func(pid int, seq int64) int64 { return 1 })
 		return built{mem: mem, procs: procs, check: u.Check}, err
 	case WFUniversal:
-		pool := w.pool(8)
+		pool := w.pool()
 		u, err := scu.NewWFUniversal(scu.CounterObject{}, n, pool, 0)
 		if err != nil {
 			return built{}, err
@@ -338,34 +354,38 @@ func (s SchedulerSpec) build(n int, seed uint64) (sched.Scheduler, error) {
 	case SchedSticky:
 		return sched.NewSticky(n, s.Rho, rng.New(seed))
 	case SchedLottery:
-		tickets := s.Tickets
-		if tickets == nil {
-			tickets = make([]int, n)
-			for i := range tickets {
-				tickets[i] = 1
-			}
-		}
-		return sched.NewLottery(tickets, rng.New(seed))
+		return sched.NewLottery(orOnes(s.Tickets, n), rng.New(seed))
 	case SchedWeighted:
-		weights := s.Weights
-		if weights == nil {
-			weights = make([]float64, n)
-			for i := range weights {
-				weights[i] = 1
-			}
-		}
-		return sched.NewWeighted(weights, rng.New(seed))
+		return sched.NewWeighted(orOnes(s.Weights, n), rng.New(seed))
 	case SchedPhased:
-		phases := make([]sched.Phase, len(s.Phases))
-		for i, ph := range s.Phases {
-			phases[i] = sched.Phase{Weights: ph.Weights, Steps: ph.Steps}
-		}
-		return sched.NewPhased(n, phases, rng.New(seed))
+		return sched.NewPhased(n, s.phases(), rng.New(seed))
 	case SchedAdversary:
 		return sched.NewAdversarial(n, sched.SingleOut(s.Victim))
 	default:
 		return nil, fmt.Errorf("sweep: unknown scheduler kind %q", s.Kind)
 	}
+}
+
+// orOnes resolves an optional per-process vector of lottery tickets
+// or weights: nil gives every one of the n processes a 1.
+func orOnes[T int | float64](v []T, n int) []T {
+	if v != nil {
+		return v
+	}
+	v = make([]T, n)
+	for i := range v {
+		v[i] = 1
+	}
+	return v
+}
+
+// phases converts the phased spec's segments to sched.Phase.
+func (s SchedulerSpec) phases() []sched.Phase {
+	out := make([]sched.Phase, len(s.Phases))
+	for i, ph := range s.Phases {
+		out[i] = sched.Phase{Weights: ph.Weights, Steps: ph.Steps}
+	}
+	return out
 }
 
 // String renders the spec in the shared scheduler grammar (e.g.
@@ -534,6 +554,38 @@ func ParseScheduler(name string) (SchedulerSpec, error) {
 	default:
 		return SchedulerSpec{}, fmt.Errorf("sweep: unknown scheduler %q", name)
 	}
+}
+
+// ParseSchedulerList parses the -scheds flags of the CLIs: schedulers
+// in the ParseScheduler grammar, separated by commas or semicolons. A
+// comma starts a new entry only when what follows is empty or begins
+// with a letter, as every scheduler name does, so the commas inside an
+// entry's own arguments stay with it: "lottery:1,2,uniform" is two
+// entries and "phased:3,1@50/1,3@50" is one.
+func ParseSchedulerList(list string) ([]SchedulerSpec, error) {
+	var out []SchedulerSpec
+	for _, group := range strings.Split(list, ";") {
+		start := 0
+		for i := 0; i <= len(group); i++ {
+			if i < len(group) && (group[i] != ',' || !startsName(group[i+1:])) {
+				continue
+			}
+			spec, err := ParseScheduler(strings.TrimSpace(group[start:i]))
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, spec)
+			start = i + 1
+		}
+	}
+	return out, nil
+}
+
+// startsName reports whether the rest of a scheduler list after a
+// comma is empty or begins with a letter.
+func startsName(rest string) bool {
+	rest = strings.TrimSpace(rest)
+	return rest == "" || ('a' <= rest[0] && rest[0] <= 'z') || ('A' <= rest[0] && rest[0] <= 'Z')
 }
 
 // parseWeights parses a comma-separated list of strictly positive

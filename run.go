@@ -320,11 +320,12 @@ func WithFamilyBatching() Option {
 // iteration, amortizing dispatch overhead and cache misses across the
 // batch. Widths 0 and 1 select the scalar path. Every point still
 // draws from its own (seed, index) stream and results are
-// byte-identical to the scalar path; shapes without a batched form
-// (data-structure workloads, per-job hooks or recorders) fall back to
-// scalar execution transparently. Pair with SweepJob.Replicas to
-// expand one shape into a seed group. Sweep-only: a single job has
-// nothing to batch with.
+// byte-identical to the scalar path, errors included. Points that
+// cannot batch (the list, hashset and wfuniversal workloads, per-job
+// hooks or recorders, a sweep recorder) run on the scalar path, which
+// the sweep_batch_fallbacks counter and SweepConfig.OnBatchFallback
+// report. Pair with SweepJob.Replicas to expand one shape into a seed
+// group. Sweep-only: a single job has nothing to batch with.
 func WithReplicaBatching(width int) Option {
 	return Option{
 		name:      "WithReplicaBatching",
