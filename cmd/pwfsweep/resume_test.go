@@ -91,8 +91,14 @@ func TestKillAndResumeIsByteIdentical(t *testing.T) {
 		// Kill once the checkpoint grows past a randomized threshold
 		// beyond what previous attempts already banked; the last two
 		// attempts run to completion so the test always terminates.
+		// A kill can land after the last record is banked but before
+		// the process exits; then the checkpoint is full and the
+		// resumed run goes to completion.
 		already := countRecords(ckpt)
-		target := already + 1 + rng.Intn(gridPoints-already)
+		target := gridPoints
+		if already < gridPoints {
+			target = already + 1 + rng.Intn(gridPoints-already)
+		}
 		killed := false
 		if attempt < maxAttempts-2 && target < gridPoints {
 			deadline := time.After(2 * time.Minute)

@@ -1,14 +1,8 @@
 package exp
 
 import (
-	"fmt"
-
 	"pwf/internal/chains"
-	"pwf/internal/machine"
-	"pwf/internal/rng"
-	"pwf/internal/sched"
-	"pwf/internal/scu"
-	"pwf/internal/shmem"
+	"pwf/internal/sweep"
 )
 
 // CrashLatency reproduces Corollary 2: with k ≤ n correct processes,
@@ -31,31 +25,17 @@ func CrashLatency(cfg Config) (*Table, error) {
 		if k < 1 {
 			continue
 		}
-		mem, err := shmem.New(scu.SCULayout(1))
+		res, err := sweep.RunJob(sweep.Job{
+			Workload:       sweep.Workload{Kind: sweep.SCU, S: 1},
+			N:              n,
+			Steps:          window,
+			WarmupFraction: sweep.DefaultWarmupFraction,
+			Crash:          n - k,
+		}, cfg.Seed+uint64(k), nil)
 		if err != nil {
 			return nil, err
 		}
-		procs, err := scu.NewSCUGroup(n, 0, 1, 0)
-		if err != nil {
-			return nil, err
-		}
-		u, err := sched.NewUniform(n, rng.New(cfg.Seed+uint64(k)))
-		if err != nil {
-			return nil, err
-		}
-		for pid := k; pid < n; pid++ {
-			if err := u.Crash(pid); err != nil {
-				return nil, fmt.Errorf("crash %d: %w", pid, err)
-			}
-		}
-		sim, err := machine.New(mem, procs, u)
-		if err != nil {
-			return nil, err
-		}
-		wSim, _, err := measureLatencies(sim, window/10, window)
-		if err != nil {
-			return nil, err
-		}
+		wSim := res.Latencies.System
 
 		exactK, err := exactSCULatency(k)
 		if err != nil {

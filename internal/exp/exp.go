@@ -21,13 +21,8 @@
 package exp
 
 import (
-	"fmt"
-
-	"pwf/internal/machine"
 	"pwf/internal/rng"
 	"pwf/internal/sched"
-	"pwf/internal/scu"
-	"pwf/internal/shmem"
 	"pwf/internal/sweep"
 )
 
@@ -99,44 +94,4 @@ func All() []Runner {
 // newUniform builds a seeded uniform scheduler (shared helper).
 func newUniform(n int, seed uint64) (*sched.Uniform, error) {
 	return sched.NewUniform(n, rng.New(seed))
-}
-
-// scuSim builds an SCU(q, s) simulation under a uniform stochastic
-// scheduler with n processes.
-func scuSim(n, q, s int, seed uint64) (*machine.Sim, error) {
-	mem, err := shmem.New(scu.SCULayout(s))
-	if err != nil {
-		return nil, err
-	}
-	procs, err := scu.NewSCUGroup(n, q, s, 0)
-	if err != nil {
-		return nil, err
-	}
-	u, err := sched.NewUniform(n, rng.New(seed))
-	if err != nil {
-		return nil, err
-	}
-	return machine.New(mem, procs, u)
-}
-
-// measureLatencies warms up a simulation, resets metrics, runs the
-// measurement window and reports (system latency, mean individual
-// latency).
-func measureLatencies(sim *machine.Sim, warmup, window uint64) (sysLat, indLat float64, err error) {
-	if err := sim.Run(warmup); err != nil {
-		return 0, 0, fmt.Errorf("warmup: %w", err)
-	}
-	sim.ResetMetrics()
-	if err := sim.Run(window); err != nil {
-		return 0, 0, fmt.Errorf("measure: %w", err)
-	}
-	sysLat, err = sim.SystemLatency()
-	if err != nil {
-		return 0, 0, err
-	}
-	indLat, err = sim.MeanIndividualLatency()
-	if err != nil {
-		return 0, 0, err
-	}
-	return sysLat, indLat, nil
 }

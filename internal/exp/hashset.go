@@ -53,6 +53,8 @@ func HashSetScaling(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
+		// Built by hand, not through sweep.RunJob: the experiment varies
+		// the bucket count, which sweep.Workload fixes at 8.
 		sim, err := machine.New(mem, procs, u)
 		if err != nil {
 			return nil, err

@@ -54,7 +54,7 @@ func ReplaySchedule(cfg Config) (*Table, error) {
 	}{
 		{"replayed real schedule", func() (sched.Scheduler, error) { return replay, nil }},
 		{"uniform model", func() (sched.Scheduler, error) {
-			return uniformFor(n, cfg.Seed)
+			return newUniform(n, cfg.Seed)
 		}},
 	} {
 		s, err := tc.build()
@@ -69,6 +69,8 @@ func ReplaySchedule(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
+		// Built by hand, not through sweep.RunJob: a replayed trace is a
+		// scheduler no SchedulerSpec expresses.
 		sim, err := machine.New(mem, procs, s)
 		if err != nil {
 			return nil, err
@@ -95,8 +97,4 @@ func ReplaySchedule(cfg Config) (*Table, error) {
 		"and once under the uniform model: both are fair and starvation-free; the real " +
 		"schedule's local stickiness lowers W, so the model's O(√n) is a conservative bound"
 	return t, nil
-}
-
-func uniformFor(n int, seed uint64) (sched.Scheduler, error) {
-	return newUniform(n, seed)
 }

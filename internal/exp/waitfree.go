@@ -58,6 +58,8 @@ func WaitFreePrice(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
+		// Built by hand, not through sweep.RunJob: the worst-case column
+		// needs per-process own-step counts, which a sweep Result lacks.
 		lfSim, err := machine.New(lfMem, lfProcs, lfSched)
 		if err != nil {
 			return nil, err

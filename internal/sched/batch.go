@@ -2,7 +2,6 @@ package sched
 
 import (
 	"errors"
-	"fmt"
 
 	"pwf/internal/rng"
 )
@@ -10,16 +9,20 @@ import (
 // Replica-batched drawers: the struct-of-arrays counterpart of the
 // scalar schedulers. A batch drawer steps K independent replicas of
 // the same scheduler configuration in lockstep — one NextBatch call
-// draws the next scheduled pid for every replica — sharing the
-// structures that depend only on the configuration (the active set,
-// alias tables, the Fenwick tree) across replicas while giving each
-// replica its own rng stream, laid out contiguously so a draw touches
-// one cache-resident table and one 32-byte source.
+// draws the next scheduled pid for every replica.
+//
+// Each drawer embeds the same family core as its scalar scheduler
+// (see sched.go): the active set, θ and the structures that depend
+// only on the configuration (alias tables, the Fenwick tree, the
+// phase clock) are built, validated and crashed by one body of code
+// and shared across replicas. The drawer adds only one rng stream per
+// replica, laid out contiguously so a draw touches one cache-resident
+// table and one 32-byte source, plus its draw scratch.
 //
 // Determinism contract: replica r of a batch drawer built from
 // seeds[r] produces exactly the pid sequence the corresponding scalar
 // scheduler produces when built with rng.New(seeds[r]) — the batch
-// draw code paths reuse the scalar sampling structures verbatim, one
+// draw code paths use the scalar sampling structures verbatim, one
 // replica source at a time (TestBatchDrawerMatchesScalar pins this).
 //
 // Crashes are configuration, not per-replica state: Crash removes the
@@ -29,9 +32,8 @@ import (
 
 // Batch drawer errors.
 var (
-	ErrNoReplicas  = errors.New("sched: batch needs at least one replica seed")
-	ErrBatchLen    = errors.New("sched: pid buffer length differs from replica count")
-	errNilStrategy = errors.New("sched: nil strategy")
+	ErrNoReplicas = errors.New("sched: batch needs at least one replica seed")
+	ErrBatchLen   = errors.New("sched: pid buffer length differs from replica count")
 )
 
 // BatchDrawer draws the next scheduled process for each of K
@@ -59,27 +61,41 @@ type BatchCrasher interface {
 	NumCorrect() int
 }
 
-// newSources seeds one rng stream per replica, stored by value in one
+// replicas holds one rng stream per replica, stored by value in one
 // contiguous slice so consecutive draws in a batch walk memory
-// linearly. Each source is seeded exactly as rng.New(seeds[r]) would
+// linearly.
+type replicas []rng.Source
+
+// newReplicas seeds each source exactly as rng.New(seeds[r]) would
 // be, which is what the determinism contract rests on.
-func newSources(seeds []uint64) ([]rng.Source, error) {
+func newReplicas(seeds []uint64) (replicas, error) {
 	if len(seeds) == 0 {
 		return nil, ErrNoReplicas
 	}
-	srcs := make([]rng.Source, len(seeds))
+	srcs := make(replicas, len(seeds))
 	for r, seed := range seeds {
 		srcs[r].Seed(seed)
 	}
 	return srcs, nil
 }
 
+// K implements BatchDrawer.
+func (rs replicas) K() int { return len(rs) }
+
+// replicaCount is the seedless drawers' verdict on their width.
+func replicaCount(k int) error {
+	if k < 1 {
+		return ErrNoReplicas
+	}
+	return nil
+}
+
 // UniformBatch is the replica-batched Uniform scheduler: K replicas
 // drawing from one shared dense active set with per-replica sources.
 type UniformBatch struct {
-	srcs   []rng.Source
-	active activeSet
-	draws  []int64 // IntnBatch scratch, one slot per replica
+	uniformCore
+	replicas
+	draws []int64 // IntnBatch scratch, one slot per replica
 }
 
 var (
@@ -90,59 +106,37 @@ var (
 // NewUniformBatch builds a uniform batch drawer over n processes with
 // one replica per seed.
 func NewUniformBatch(n int, seeds []uint64) (*UniformBatch, error) {
-	if n < 1 {
-		return nil, ErrNoProcesses
-	}
-	srcs, err := newSources(seeds)
+	srcs, srcErr := newReplicas(seeds)
+	c, err := newUniformCore(n, srcErr)
 	if err != nil {
 		return nil, err
 	}
-	return &UniformBatch{
-		srcs:   srcs,
-		active: newActiveSet(n),
-		draws:  make([]int64, len(srcs)),
-	}, nil
+	return &UniformBatch{uniformCore: c, replicas: srcs, draws: make([]int64, len(srcs))}, nil
 }
 
 // NextBatch implements BatchDrawer: one O(1) dense-set pick per
 // replica, all against the same id list.
 func (u *UniformBatch) NextBatch(pids []int32) error {
-	if len(pids) != len(u.srcs) {
+	if len(pids) != len(u.replicas) {
 		return ErrBatchLen
 	}
-	ids := u.active.ids
+	ids := u.ids
 	if len(ids) == 0 {
 		return ErrAllCrashed
 	}
-	rng.IntnBatch(u.srcs, len(ids), u.draws)
+	rng.IntnBatch(u.replicas, len(ids), u.draws)
 	for r, d := range u.draws {
 		pids[r] = ids[d]
 	}
 	return nil
 }
 
-// N implements BatchDrawer.
-func (u *UniformBatch) N() int { return len(u.active.alive) }
-
-// K implements BatchDrawer.
-func (u *UniformBatch) K() int { return len(u.srcs) }
-
-// Threshold implements BatchDrawer (θ = 1/n, as for Uniform).
-func (u *UniformBatch) Threshold() float64 { return 1 / float64(len(u.active.alive)) }
-
-// Crash implements BatchCrasher.
-func (u *UniformBatch) Crash(pid int) error { return u.active.crash(pid) }
-
-// NumCorrect implements BatchCrasher.
-func (u *UniformBatch) NumCorrect() int { return u.active.correct() }
-
 // StickyBatch is the replica-batched Sticky scheduler. The stickiness
 // decision and the previously scheduled process are per-replica state;
 // the active set is shared.
 type StickyBatch struct {
-	srcs   []rng.Source
-	rho    float64
-	active activeSet
+	stickyCore
+	replicas
 	last   []int32
 	primed []bool
 }
@@ -155,22 +149,19 @@ var (
 // NewStickyBatch builds a sticky batch drawer with stickiness rho in
 // [0, 1).
 func NewStickyBatch(n int, rho float64, seeds []uint64) (*StickyBatch, error) {
-	if n < 1 {
-		return nil, ErrNoProcesses
+	c, err := newStickyCore(n, rho, nil)
+	if err != nil {
+		return nil, err
 	}
-	if rho < 0 || rho >= 1 {
-		return nil, ErrBadStickiness
-	}
-	srcs, err := newSources(seeds)
+	srcs, err := newReplicas(seeds)
 	if err != nil {
 		return nil, err
 	}
 	return &StickyBatch{
-		srcs:   srcs,
-		rho:    rho,
-		active: newActiveSet(n),
-		last:   make([]int32, len(seeds)),
-		primed: make([]bool, len(seeds)),
+		stickyCore: c,
+		replicas:   srcs,
+		last:       make([]int32, len(seeds)),
+		primed:     make([]bool, len(seeds)),
 	}, nil
 }
 
@@ -178,16 +169,16 @@ func NewStickyBatch(n int, rho float64, seeds []uint64) (*StickyBatch, error) {
 // a Bernoulli trial on the previous pick, falling back to a dense-set
 // draw.
 func (s *StickyBatch) NextBatch(pids []int32) error {
-	if len(pids) != len(s.srcs) {
+	if len(pids) != len(s.replicas) {
 		return ErrBatchLen
 	}
-	ids := s.active.ids
+	ids := s.ids
 	if len(ids) == 0 {
 		return ErrAllCrashed
 	}
-	for r := range s.srcs {
-		src := &s.srcs[r]
-		if s.primed[r] && s.active.alive[s.last[r]] && src.Bernoulli(s.rho) {
+	for r := range s.replicas {
+		src := &s.replicas[r]
+		if s.primed[r] && s.alive[s.last[r]] && src.Bernoulli(s.rho) {
 			pids[r] = s.last[r]
 			continue
 		}
@@ -199,33 +190,11 @@ func (s *StickyBatch) NextBatch(pids []int32) error {
 	return nil
 }
 
-// N implements BatchDrawer.
-func (s *StickyBatch) N() int { return len(s.active.alive) }
-
-// K implements BatchDrawer.
-func (s *StickyBatch) K() int { return len(s.srcs) }
-
-// Threshold implements BatchDrawer ((1-ρ)/n, as for Sticky).
-func (s *StickyBatch) Threshold() float64 {
-	return (1 - s.rho) / float64(len(s.active.alive))
-}
-
-// Crash implements BatchCrasher.
-func (s *StickyBatch) Crash(pid int) error { return s.active.crash(pid) }
-
-// NumCorrect implements BatchCrasher.
-func (s *StickyBatch) NumCorrect() int { return s.active.correct() }
-
 // WeightedBatch is the replica-batched Weighted scheduler: one alias
-// table shared by every replica (it depends only on the weight
-// restriction to the active set), per-replica sources.
+// table shared by every replica, per-replica sources.
 type WeightedBatch struct {
-	srcs    []rng.Source
-	weights []float64
-	active  activeSet
-	theta   float64
-	table   aliasTable
-	wBuf    []float64
+	weightedCore
+	replicas
 }
 
 var (
@@ -236,94 +205,37 @@ var (
 // NewWeightedBatch builds a weighted batch drawer; weights must be
 // strictly positive.
 func NewWeightedBatch(weights []float64, seeds []uint64) (*WeightedBatch, error) {
-	if len(weights) == 0 {
-		return nil, ErrNoProcesses
-	}
-	srcs, err := newSources(seeds)
+	srcs, srcErr := newReplicas(seeds)
+	c, err := newWeightedCore(weights, srcErr)
 	if err != nil {
 		return nil, err
 	}
-	var total float64
-	minW := weights[0]
-	for _, w := range weights {
-		if w <= 0 {
-			return nil, fmt.Errorf("sched: weight %v is not strictly positive", w)
-		}
-		total += w
-		if w < minW {
-			minW = w
-		}
-	}
-	ws := make([]float64, len(weights))
-	copy(ws, weights)
-	w := &WeightedBatch{
-		srcs:    srcs,
-		weights: ws,
-		active:  newActiveSet(len(weights)),
-		theta:   minW / total,
-	}
-	if err := w.rebuild(); err != nil {
-		return nil, err
-	}
-	return w, nil
-}
-
-func (w *WeightedBatch) rebuild() error {
-	w.wBuf = grow(w.wBuf, len(w.active.ids))
-	for i, pid := range w.active.ids {
-		w.wBuf[i] = w.weights[pid]
-	}
-	return w.table.build(w.active.ids, w.wBuf)
+	return &WeightedBatch{weightedCore: c, replicas: srcs}, nil
 }
 
 // NextBatch implements BatchDrawer: one O(1) alias draw per replica
 // against the shared table.
 func (w *WeightedBatch) NextBatch(pids []int32) error {
-	if len(pids) != len(w.srcs) {
+	if len(pids) != len(w.replicas) {
 		return ErrBatchLen
 	}
-	if w.active.correct() == 0 {
+	if w.NumCorrect() == 0 {
 		return ErrAllCrashed
 	}
-	for r := range w.srcs {
-		pids[r] = int32(w.table.draw(&w.srcs[r]))
+	for r := range w.replicas {
+		pids[r] = int32(w.table.draw(&w.replicas[r]))
 	}
 	return nil
 }
-
-// N implements BatchDrawer.
-func (w *WeightedBatch) N() int { return len(w.weights) }
-
-// K implements BatchDrawer.
-func (w *WeightedBatch) K() int { return len(w.srcs) }
-
-// Threshold implements BatchDrawer.
-func (w *WeightedBatch) Threshold() float64 { return w.theta }
-
-// Crash implements BatchCrasher, rebuilding the shared table once for
-// all replicas.
-func (w *WeightedBatch) Crash(pid int) error {
-	if err := w.active.crash(pid); err != nil {
-		return err
-	}
-	return w.rebuild()
-}
-
-// NumCorrect implements BatchCrasher.
-func (w *WeightedBatch) NumCorrect() int { return w.active.correct() }
 
 // LotteryBatch is the replica-batched Lottery scheduler: one Fenwick
 // tree over the active ticket counts shared by every replica. The
 // tree for paper-scale n fits in L1, so the O(log n) inverse-CDF
 // searches of a whole batch hit cache and overlap across replicas.
 type LotteryBatch struct {
-	srcs        []rng.Source
-	tickets     []int
-	active      activeSet
-	total       int
-	fen         *fenwick
-	activeTotal int64
-	wins        []int64 // findBatch scratch, one slot per replica
+	lotteryCore
+	replicas
+	wins []int64 // findBatch scratch, one slot per replica
 }
 
 var (
@@ -334,35 +246,12 @@ var (
 // NewLotteryBatch builds a lottery batch drawer; every process must
 // hold at least one ticket.
 func NewLotteryBatch(tickets []int, seeds []uint64) (*LotteryBatch, error) {
-	if len(tickets) == 0 {
-		return nil, ErrNoProcesses
-	}
-	srcs, err := newSources(seeds)
+	srcs, srcErr := newReplicas(seeds)
+	c, err := newLotteryCore(tickets, srcErr)
 	if err != nil {
 		return nil, err
 	}
-	ts := make([]int, len(tickets))
-	vals := make([]int64, len(tickets))
-	total := 0
-	for i, t := range tickets {
-		if t < 1 {
-			return nil, fmt.Errorf("sched: process %d holds %d tickets, need >= 1", i, t)
-		}
-		ts[i] = t
-		vals[i] = int64(t)
-		total += t
-	}
-	fen := newFenwick(len(tickets))
-	fen.init(vals)
-	return &LotteryBatch{
-		srcs:        srcs,
-		tickets:     ts,
-		active:      newActiveSet(len(tickets)),
-		total:       total,
-		fen:         fen,
-		activeTotal: int64(total),
-		wins:        make([]int64, len(srcs)),
-	}, nil
+	return &LotteryBatch{lotteryCore: c, replicas: srcs, wins: make([]int64, len(srcs))}, nil
 }
 
 // NextBatch implements BatchDrawer: one winning-ticket draw and one
@@ -370,62 +259,23 @@ func NewLotteryBatch(tickets []int, seeds []uint64) (*LotteryBatch, error) {
 // searches run through findBatch so the descents of the whole batch
 // overlap instead of serialising one dependent chain at a time.
 func (l *LotteryBatch) NextBatch(pids []int32) error {
-	if len(pids) != len(l.srcs) {
+	if len(pids) != len(l.replicas) {
 		return ErrBatchLen
 	}
-	if l.active.correct() == 0 {
+	if l.NumCorrect() == 0 {
 		return ErrAllCrashed
 	}
-	rng.IntnBatch(l.srcs, int(l.activeTotal), l.wins)
+	rng.IntnBatch(l.replicas, int(l.activeTotal), l.wins)
 	l.fen.findBatch(l.wins, pids)
 	return nil
 }
 
-// N implements BatchDrawer.
-func (l *LotteryBatch) N() int { return len(l.tickets) }
-
-// K implements BatchDrawer.
-func (l *LotteryBatch) K() int { return len(l.srcs) }
-
-// Threshold implements BatchDrawer (the minimum ticket share, as for
-// Lottery).
-func (l *LotteryBatch) Threshold() float64 {
-	minT := l.tickets[0]
-	for _, t := range l.tickets {
-		if t < minT {
-			minT = t
-		}
-	}
-	return float64(minT) / float64(l.total)
-}
-
-// Crash implements BatchCrasher, zeroing pid's tickets in the shared
-// tree.
-func (l *LotteryBatch) Crash(pid int) error {
-	if err := l.active.crash(pid); err != nil {
-		return err
-	}
-	l.fen.add(pid, -int64(l.tickets[pid]))
-	l.activeTotal -= int64(l.tickets[pid])
-	return nil
-}
-
-// NumCorrect implements BatchCrasher.
-func (l *LotteryBatch) NumCorrect() int { return l.active.correct() }
-
-// PhasedBatch is the replica-batched Phased scheduler. Replicas run in
-// lockstep, so the phase clock — which phase governs the next step —
-// is shared alongside the per-phase alias tables; only the draw
+// PhasedBatch is the replica-batched Phased scheduler: the phase
+// clock and the per-phase alias tables are shared; only the draw
 // randomness is per replica.
 type PhasedBatch struct {
-	srcs   []rng.Source
-	phases []Phase
-	active activeSet
-	idx    int
-	left   uint64
-	theta  float64
-	tables []aliasTable
-	wBuf   []float64
+	phasedCore
+	replicas
 }
 
 var (
@@ -436,92 +286,38 @@ var (
 // NewPhasedBatch builds a phased batch drawer cycling through the
 // given phases.
 func NewPhasedBatch(n int, phases []Phase, seeds []uint64) (*PhasedBatch, error) {
-	srcs, err := newSources(seeds)
+	srcs, err := newReplicas(seeds)
 	if err != nil {
 		return nil, err
 	}
-	// Validate and copy through the scalar constructor, then discard
-	// its source: the phase bookkeeping rules must match exactly.
-	scalar, err := NewPhased(n, phases, rng.New(0))
+	c, err := newPhasedCore(n, phases, nil)
 	if err != nil {
 		return nil, err
 	}
-	p := &PhasedBatch{
-		srcs:   srcs,
-		phases: scalar.phases,
-		active: newActiveSet(n),
-		left:   scalar.phases[0].Steps,
-		theta:  scalar.theta,
-		tables: make([]aliasTable, len(scalar.phases)),
-	}
-	if err := p.rebuild(); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
-func (p *PhasedBatch) rebuild() error {
-	for i := range p.phases {
-		p.wBuf = grow(p.wBuf, len(p.active.ids))
-		for j, pid := range p.active.ids {
-			p.wBuf[j] = p.phases[i].Weights[pid]
-		}
-		if err := p.tables[i].build(p.active.ids, p.wBuf); err != nil {
-			return err
-		}
-	}
-	return nil
+	return &PhasedBatch{phasedCore: c, replicas: srcs}, nil
 }
 
 // NextBatch implements BatchDrawer: the shared phase clock advances
 // once, then every replica draws from the current phase's table.
 func (p *PhasedBatch) NextBatch(pids []int32) error {
-	if len(pids) != len(p.srcs) {
+	if len(pids) != len(p.replicas) {
 		return ErrBatchLen
 	}
-	if p.active.correct() == 0 {
+	if p.NumCorrect() == 0 {
 		return ErrAllCrashed
 	}
-	if p.left == 0 {
-		p.idx = (p.idx + 1) % len(p.phases)
-		p.left = p.phases[p.idx].Steps
-	}
-	p.left--
-	table := &p.tables[p.idx]
-	for r := range p.srcs {
-		pids[r] = int32(table.draw(&p.srcs[r]))
+	table := p.tick()
+	for r := range p.replicas {
+		pids[r] = int32(table.draw(&p.replicas[r]))
 	}
 	return nil
 }
 
-// N implements BatchDrawer.
-func (p *PhasedBatch) N() int { return len(p.active.alive) }
-
-// K implements BatchDrawer.
-func (p *PhasedBatch) K() int { return len(p.srcs) }
-
-// Threshold implements BatchDrawer.
-func (p *PhasedBatch) Threshold() float64 { return p.theta }
-
-// Crash implements BatchCrasher, rebuilding every phase's shared
-// table once.
-func (p *PhasedBatch) Crash(pid int) error {
-	if err := p.active.crash(pid); err != nil {
-		return err
-	}
-	return p.rebuild()
-}
-
-// NumCorrect implements BatchCrasher.
-func (p *PhasedBatch) NumCorrect() int { return p.active.correct() }
-
-// RoundRobinBatch is the replica-batched RoundRobin scheduler. The
-// schedule is deterministic, so every replica is at the same position:
-// one shared cursor, the same pid for all replicas each step.
+// RoundRobinBatch is the replica-batched RoundRobin scheduler: the
+// cursor is shared, so every replica gets the same pid each step.
 type RoundRobinBatch struct {
-	k      int
-	active activeSet
-	next   int
+	roundRobinCore
+	k int
 }
 
 var (
@@ -532,13 +328,11 @@ var (
 // NewRoundRobinBatch builds a round-robin batch drawer over n
 // processes and k replicas.
 func NewRoundRobinBatch(n, k int) (*RoundRobinBatch, error) {
-	if n < 1 {
-		return nil, ErrNoProcesses
+	c, err := newRoundRobinCore(n, replicaCount(k))
+	if err != nil {
+		return nil, err
 	}
-	if k < 1 {
-		return nil, ErrNoReplicas
-	}
-	return &RoundRobinBatch{k: k, active: newActiveSet(n)}, nil
+	return &RoundRobinBatch{roundRobinCore: c, k: k}, nil
 }
 
 // NextBatch implements BatchDrawer.
@@ -546,70 +340,9 @@ func (r *RoundRobinBatch) NextBatch(pids []int32) error {
 	if len(pids) != r.k {
 		return ErrBatchLen
 	}
-	if r.active.correct() == 0 {
-		return ErrAllCrashed
-	}
-	for {
-		pid := r.next
-		r.next = (r.next + 1) % len(r.active.alive)
-		if r.active.alive[pid] {
-			for i := range pids {
-				pids[i] = int32(pid)
-			}
-			return nil
-		}
-	}
-}
-
-// N implements BatchDrawer.
-func (r *RoundRobinBatch) N() int { return len(r.active.alive) }
-
-// K implements BatchDrawer.
-func (r *RoundRobinBatch) K() int { return r.k }
-
-// Threshold implements BatchDrawer (0: deterministic).
-func (r *RoundRobinBatch) Threshold() float64 { return 0 }
-
-// Crash implements BatchCrasher.
-func (r *RoundRobinBatch) Crash(pid int) error { return r.active.crash(pid) }
-
-// NumCorrect implements BatchCrasher.
-func (r *RoundRobinBatch) NumCorrect() int { return r.active.correct() }
-
-// AdversarialBatch is the replica-batched Adversarial scheduler: the
-// strategy is a deterministic function of the step count, so all
-// replicas see the same point-mass schedule.
-type AdversarialBatch struct {
-	n, k     int
-	tau      uint64
-	strategy Strategy
-}
-
-var _ BatchDrawer = (*AdversarialBatch)(nil)
-
-// NewAdversarialBatch builds an adversarial batch drawer.
-func NewAdversarialBatch(n, k int, strategy Strategy) (*AdversarialBatch, error) {
-	if n < 1 {
-		return nil, ErrNoProcesses
-	}
-	if k < 1 {
-		return nil, ErrNoReplicas
-	}
-	if strategy == nil {
-		return nil, errNilStrategy
-	}
-	return &AdversarialBatch{n: n, k: k, strategy: strategy}, nil
-}
-
-// NextBatch implements BatchDrawer.
-func (a *AdversarialBatch) NextBatch(pids []int32) error {
-	if len(pids) != a.k {
-		return ErrBatchLen
-	}
-	pid := a.strategy(a.tau, a.n)
-	a.tau++
-	if pid < 0 || pid >= a.n {
-		return fmt.Errorf("%w: strategy chose %d of %d", ErrBadProcess, pid, a.n)
+	pid, err := r.advance()
+	if err != nil {
+		return err
 	}
 	for i := range pids {
 		pids[i] = int32(pid)
@@ -617,12 +350,42 @@ func (a *AdversarialBatch) NextBatch(pids []int32) error {
 	return nil
 }
 
-// N implements BatchDrawer.
-func (a *AdversarialBatch) N() int { return a.n }
+// K implements BatchDrawer.
+func (r *RoundRobinBatch) K() int { return r.k }
+
+// AdversarialBatch is the replica-batched Adversarial scheduler: the
+// strategy and its clock are shared, so all replicas see the same
+// point-mass schedule.
+type AdversarialBatch struct {
+	adversaryCore
+	k int
+}
+
+var _ BatchDrawer = (*AdversarialBatch)(nil)
+
+// NewAdversarialBatch builds an adversarial batch drawer.
+func NewAdversarialBatch(n, k int, strategy Strategy) (*AdversarialBatch, error) {
+	c, err := newAdversaryCore(n, strategy, replicaCount(k))
+	if err != nil {
+		return nil, err
+	}
+	return &AdversarialBatch{adversaryCore: c, k: k}, nil
+}
+
+// NextBatch implements BatchDrawer.
+func (a *AdversarialBatch) NextBatch(pids []int32) error {
+	if len(pids) != a.k {
+		return ErrBatchLen
+	}
+	pid, err := a.advance()
+	if err != nil {
+		return err
+	}
+	for i := range pids {
+		pids[i] = int32(pid)
+	}
+	return nil
+}
 
 // K implements BatchDrawer.
 func (a *AdversarialBatch) K() int { return a.k }
-
-// Threshold implements BatchDrawer (0: adversaries carry no
-// probabilistic guarantee).
-func (a *AdversarialBatch) Threshold() float64 { return 0 }

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -83,7 +84,10 @@ func batchCases() []batchCase {
 // TestBatchDrawerMatchesScalar is the batch layer's determinism
 // contract: replica r of a batch drawer built from seeds[r] yields
 // exactly the pid sequence of the scalar scheduler built with
-// rng.New(seeds[r]) — with and without pre-run crashes.
+// rng.New(seeds[r]) — with no crashes, with pre-run crashes, and with
+// crashes mid-run (which Sticky's replicas must each survive by
+// abandoning a dead last pick). Both forms embed one family core, so
+// crash errors and constructor errors must match too.
 func TestBatchDrawerMatchesScalar(t *testing.T) {
 	const (
 		n     = 23
@@ -95,8 +99,11 @@ func TestBatchDrawerMatchesScalar(t *testing.T) {
 		seeds[r] = uint64(1000 + 77*r)
 	}
 	for _, tc := range batchCases() {
-		for _, crashes := range []int{0, 3} {
-			t.Run(fmt.Sprintf("%s/crash=%d", tc.name, crashes), func(t *testing.T) {
+		for _, plan := range []struct {
+			name        string
+			crashes, at int // crash the top crashes pids before step at
+		}{{"crash=0", 0, 0}, {"crash=3", 3, 0}, {"crash=3@mid", 3, steps / 2}} {
+			t.Run(tc.name+"/"+plan.name, func(t *testing.T) {
 				batched, err := tc.batched(n, seeds)
 				if err != nil {
 					t.Fatal(err)
@@ -107,30 +114,23 @@ func TestBatchDrawerMatchesScalar(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				for pid := n - crashes; pid < n; pid++ {
-					if bc, ok := batched.(BatchCrasher); ok {
-						if err := bc.Crash(pid); err != nil {
-							t.Fatal(err)
-						}
-					} else if crashes > 0 {
-						t.Skipf("%s does not support crashes", tc.name)
-					}
+				bc, canCrash := batched.(BatchCrasher)
+				if !canCrash && plan.crashes > 0 {
+					t.Skipf("%s does not support crashes", tc.name)
+				}
+				// crash applies one crash to both forms and returns the
+				// batch error after checking every replica agrees.
+				crash := func(pid int) error {
+					errB := bc.Crash(pid)
 					for r := range scalars {
-						if c, ok := scalars[r].(Crasher); ok {
-							if err := c.Crash(pid); err != nil {
-								t.Fatal(err)
-							}
+						if errS := scalars[r].(Crasher).Crash(pid); fmt.Sprint(errS) != fmt.Sprint(errB) {
+							t.Fatalf("Crash(%d): batched %v, scalar %v", pid, errB, errS)
 						}
 					}
-				}
-				if got, want := batched.Threshold(), scalars[0].Threshold(); got != want {
-					t.Fatalf("Threshold = %v, scalar %v", got, want)
-				}
-				if batched.K() != k || batched.N() != n {
-					t.Fatalf("K/N = %d/%d, want %d/%d", batched.K(), batched.N(), k, n)
+					return errB
 				}
 				pids := make([]int32, k)
-				for step := 0; step < steps; step++ {
+				draw := func(step int) {
 					if err := batched.NextBatch(pids); err != nil {
 						t.Fatalf("step %d: %v", step, err)
 					}
@@ -145,31 +145,116 @@ func TestBatchDrawerMatchesScalar(t *testing.T) {
 						}
 					}
 				}
+				if got, want := batched.Threshold(), scalars[0].Threshold(); got != want {
+					t.Fatalf("Threshold = %v, scalar %v", got, want)
+				}
+				if batched.K() != k || batched.N() != n {
+					t.Fatalf("K/N = %d/%d, want %d/%d", batched.K(), batched.N(), k, n)
+				}
+				for step := 0; step < steps; step++ {
+					if step == plan.at {
+						for pid := n - plan.crashes; pid < n; pid++ {
+							if err := crash(pid); err != nil {
+								t.Fatal(err)
+							}
+						}
+					}
+					draw(step)
+				}
+				if !canCrash {
+					return
+				}
+
+				// Crash errors, down to a single survivor: out of range,
+				// already dead, and finally the last correct process.
+				seen := map[error]bool{}
+				order := []int{-1, n, 0, 0}
+				for pid := 1; pid < n; pid++ {
+					order = append(order, pid)
+				}
+				for _, pid := range order {
+					if err := crash(pid); err != nil {
+						for _, want := range []error{ErrBadProcess, ErrAlreadyDead, ErrLastProcess} {
+							if errors.Is(err, want) {
+								seen[want] = true
+							}
+						}
+					}
+				}
+				if len(seen) != 3 || bc.NumCorrect() != 1 {
+					t.Fatalf("crash errors seen %v, %d correct; want all three and 1", seen, bc.NumCorrect())
+				}
+				for step := steps; step < steps+100; step++ {
+					draw(step)
+				}
 			})
+		}
+	}
+
+	// Invalid configurations: each scalar/batch constructor pair fails
+	// with the same error, through the family core's one validation.
+	src, one := rng.New(1), []uint64{1}
+	ph := func(ws []float64, steps uint64) []Phase { return []Phase{{Weights: ws, Steps: steps}} }
+	for _, c := range []struct {
+		name          string
+		scalar, batch error
+	}{
+		{"uniform/empty", errOf(NewUniform(0, src)), errOf(NewUniformBatch(0, one))},
+		{"sticky/empty", errOf(NewSticky(0, 0.5, src)), errOf(NewStickyBatch(0, 0.5, one))},
+		{"sticky/rho=1", errOf(NewSticky(4, 1, src)), errOf(NewStickyBatch(4, 1, one))},
+		{"sticky/rho<0", errOf(NewSticky(4, -0.1, src)), errOf(NewStickyBatch(4, -0.1, one))},
+		{"weighted/empty", errOf(NewWeighted(nil, src)), errOf(NewWeightedBatch(nil, one))},
+		{"weighted/zero", errOf(NewWeighted([]float64{1, 0}, src)), errOf(NewWeightedBatch([]float64{1, 0}, one))},
+		{"weighted/negative", errOf(NewWeighted([]float64{-1, 1}, src)), errOf(NewWeightedBatch([]float64{-1, 1}, one))},
+		{"lottery/empty", errOf(NewLottery(nil, src)), errOf(NewLotteryBatch(nil, one))},
+		{"lottery/zero", errOf(NewLottery([]int{1, 0}, src)), errOf(NewLotteryBatch([]int{1, 0}, one))},
+		{"phased/empty", errOf(NewPhased(0, ph(nil, 1), src)), errOf(NewPhasedBatch(0, ph(nil, 1), one))},
+		{"phased/no phases", errOf(NewPhased(2, nil, src)), errOf(NewPhasedBatch(2, nil, one))},
+		{"phased/short", errOf(NewPhased(2, ph([]float64{1}, 1), src)), errOf(NewPhasedBatch(2, ph([]float64{1}, 1), one))},
+		{"phased/zero steps", errOf(NewPhased(2, ph([]float64{1, 1}, 0), src)), errOf(NewPhasedBatch(2, ph([]float64{1, 1}, 0), one))},
+		{"phased/zero weight", errOf(NewPhased(2, ph([]float64{1, 0}, 1), src)), errOf(NewPhasedBatch(2, ph([]float64{1, 0}, 1), one))},
+		{"roundrobin/empty", errOf(NewRoundRobin(0)), errOf(NewRoundRobinBatch(0, 1))},
+		{"adversary/empty", errOf(NewAdversarial(0, SingleOut(0))), errOf(NewAdversarialBatch(0, 1, SingleOut(0)))},
+		{"adversary/nil strategy", errOf(NewAdversarial(2, nil)), errOf(NewAdversarialBatch(2, 1, nil))},
+	} {
+		if c.scalar == nil || fmt.Sprint(c.scalar) != fmt.Sprint(c.batch) {
+			t.Errorf("%s: scalar error %v, batched %v", c.name, c.scalar, c.batch)
+		}
+	}
+	// No randomness: a nil source for a scalar form, no seeds (or
+	// zero width) for a batch form.
+	for i, err := range []error{
+		errOf(NewUniform(4, nil)),
+		errOf(NewSticky(4, 0.5, nil)),
+		errOf(NewWeighted([]float64{1}, nil)),
+		errOf(NewLottery([]int{1}, nil)),
+		errOf(NewPhased(1, ph([]float64{1}, 1), nil)),
+	} {
+		if !errors.Is(err, errNilSource) {
+			t.Errorf("scalar %d with a nil source: %v", i, err)
+		}
+	}
+	for i, err := range []error{
+		errOf(NewUniformBatch(4, nil)),
+		errOf(NewStickyBatch(4, 0.5, nil)),
+		errOf(NewWeightedBatch([]float64{1}, nil)),
+		errOf(NewLotteryBatch([]int{1}, nil)),
+		errOf(NewPhasedBatch(1, ph([]float64{1}, 1), nil)),
+		errOf(NewRoundRobinBatch(4, 0)),
+		errOf(NewAdversarialBatch(4, 0, SingleOut(0))),
+	} {
+		if !errors.Is(err, ErrNoReplicas) {
+			t.Errorf("batch %d without seeds: %v", i, err)
 		}
 	}
 }
 
-// TestBatchDrawerErrors exercises the constructor and draw edges.
+// errOf keeps a constructor's error and drops its value.
+func errOf[T any](_ T, err error) error { return err }
+
+// TestBatchDrawerErrors exercises the draw edges; constructor errors
+// are pinned against the scalar forms in TestBatchDrawerMatchesScalar.
 func TestBatchDrawerErrors(t *testing.T) {
-	if _, err := NewUniformBatch(0, []uint64{1}); err == nil {
-		t.Error("NewUniformBatch(0, ...) succeeded")
-	}
-	if _, err := NewUniformBatch(4, nil); err == nil {
-		t.Error("NewUniformBatch with no seeds succeeded")
-	}
-	if _, err := NewStickyBatch(4, 1.5, []uint64{1}); err == nil {
-		t.Error("NewStickyBatch with rho 1.5 succeeded")
-	}
-	if _, err := NewLotteryBatch([]int{1, 0}, []uint64{1}); err == nil {
-		t.Error("NewLotteryBatch with zero ticket succeeded")
-	}
-	if _, err := NewWeightedBatch([]float64{1, -1}, []uint64{1}); err == nil {
-		t.Error("NewWeightedBatch with negative weight succeeded")
-	}
-	if _, err := NewAdversarialBatch(4, 2, nil); err == nil {
-		t.Error("NewAdversarialBatch with nil strategy succeeded")
-	}
 	u, err := NewUniformBatch(4, []uint64{1, 2})
 	if err != nil {
 		t.Fatal(err)

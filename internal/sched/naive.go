@@ -18,14 +18,14 @@ import (
 // NextNaive is the superseded Uniform draw: rebuild the list of
 // correct ids and index into it, O(n) after any crash.
 func (u *Uniform) NextNaive() (int, error) {
-	switch u.active.correct() {
+	switch u.NumCorrect() {
 	case 0:
 		return 0, ErrAllCrashed
-	case len(u.active.alive):
-		return u.src.Intn(len(u.active.alive)), nil
+	case len(u.alive):
+		return u.src.Intn(len(u.alive)), nil
 	}
 	u.naiveIDs = u.naiveIDs[:0]
-	for pid, ok := range u.active.alive {
+	for pid, ok := range u.alive {
 		if ok {
 			u.naiveIDs = append(u.naiveIDs, pid)
 		}
@@ -37,11 +37,11 @@ func (u *Uniform) NextNaive() (int, error) {
 // entries into a scratch vector and linear-scan rng.Categorical,
 // O(n) every step.
 func (w *Weighted) NextNaive() (int, error) {
-	if w.active.correct() == 0 {
+	if w.NumCorrect() == 0 {
 		return 0, ErrAllCrashed
 	}
 	for pid := range w.weights {
-		if w.active.alive[pid] {
+		if w.alive[pid] {
 			w.scratch[pid] = w.weights[pid]
 		} else {
 			w.scratch[pid] = 0
@@ -60,18 +60,18 @@ func (w *Weighted) NextNaive() (int, error) {
 // identical rng states it returns the identical sequence as the
 // Fenwick-backed Next.
 func (l *Lottery) NextNaive() (int, error) {
-	if l.active.correct() == 0 {
+	if l.NumCorrect() == 0 {
 		return 0, ErrAllCrashed
 	}
 	activeTotal := 0
 	for pid, t := range l.tickets {
-		if l.active.alive[pid] {
+		if l.alive[pid] {
 			activeTotal += t
 		}
 	}
 	win := l.src.Intn(activeTotal)
 	for pid, t := range l.tickets {
-		if !l.active.alive[pid] {
+		if !l.alive[pid] {
 			continue
 		}
 		if win < t {
@@ -87,18 +87,18 @@ func (l *Lottery) NextNaive() (int, error) {
 // unchanged, but the exploration branch rebuilds the correct-id list,
 // O(n) after any crash.
 func (s *Sticky) NextNaive() (int, error) {
-	if s.active.correct() == 0 {
+	if s.NumCorrect() == 0 {
 		return 0, ErrAllCrashed
 	}
-	if s.primed && s.active.alive[s.last] && s.src.Bernoulli(s.rho) {
+	if s.primed && s.alive[s.last] && s.src.Bernoulli(s.rho) {
 		return s.last, nil
 	}
 	var pid int
-	if s.active.correct() == len(s.active.alive) {
-		pid = s.src.Intn(len(s.active.alive))
+	if s.NumCorrect() == len(s.alive) {
+		pid = s.src.Intn(len(s.alive))
 	} else {
 		s.naiveIDs = s.naiveIDs[:0]
-		for id, ok := range s.active.alive {
+		for id, ok := range s.alive {
 			if ok {
 				s.naiveIDs = append(s.naiveIDs, id)
 			}
@@ -114,17 +114,13 @@ func (s *Sticky) NextNaive() (int, error) {
 // weights by liveness into a scratch vector and linear-scan
 // rng.Categorical, O(n) every step.
 func (p *Phased) NextNaive() (int, error) {
-	if p.active.correct() == 0 {
+	if p.NumCorrect() == 0 {
 		return 0, ErrAllCrashed
 	}
-	if p.left == 0 {
-		p.idx = (p.idx + 1) % len(p.phases)
-		p.left = p.phases[p.idx].Steps
-	}
-	p.left--
+	p.tick()
 	weights := p.phases[p.idx].Weights
 	for pid := range weights {
-		if p.active.alive[pid] {
+		if p.alive[pid] {
 			p.scratch[pid] = weights[pid]
 		} else {
 			p.scratch[pid] = 0

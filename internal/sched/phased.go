@@ -7,6 +7,106 @@ import (
 	"pwf/internal/rng"
 )
 
+// Phase is one segment of a Phased schedule.
+type Phase struct {
+	// Weights gives each process's scheduling weight in this phase;
+	// all must be strictly positive.
+	Weights []float64
+	// Steps is the phase length; must be >= 1.
+	Steps uint64
+}
+
+// phasedCore is the Phased family's configuration: the phases, θ, the
+// phase clock and one Walker alias table per phase over the active
+// processes. The tables depend only on the phase weights restricted
+// to A_τ and are rebuilt exactly when a process crashes. Replicas run
+// in lockstep, so the clock is shared alongside the tables.
+type phasedCore struct {
+	activeSet
+	phases []Phase
+	idx    int    // current phase
+	left   uint64 // steps remaining in the current phase
+	theta  float64
+
+	tables []aliasTable
+	wBuf   []float64 // rebuild scratch
+}
+
+// newPhasedCore validates and copies the phases and builds their
+// tables. θ is the worst-case minimum probability across all phases.
+func newPhasedCore(n int, phases []Phase, srcErr error) (phasedCore, error) {
+	a, err := newActive(n, srcErr)
+	if err != nil {
+		return phasedCore{}, err
+	}
+	if len(phases) == 0 {
+		return phasedCore{}, errors.New("sched: need at least one phase")
+	}
+	theta := 1.0
+	cp := make([]Phase, len(phases))
+	for i, ph := range phases {
+		if len(ph.Weights) != n {
+			return phasedCore{}, fmt.Errorf("sched: phase %d has %d weights for %d processes",
+				i, len(ph.Weights), n)
+		}
+		if ph.Steps < 1 {
+			return phasedCore{}, fmt.Errorf("sched: phase %d has zero length", i)
+		}
+		t, bad := minShare(ph.Weights)
+		if bad >= 0 {
+			return phasedCore{}, fmt.Errorf("sched: phase %d weight %d is not strictly positive", i, bad)
+		}
+		if t < theta {
+			theta = t
+		}
+		cp[i] = Phase{Weights: append([]float64(nil), ph.Weights...), Steps: ph.Steps}
+	}
+	c := phasedCore{
+		activeSet: a,
+		phases:    cp,
+		left:      cp[0].Steps,
+		theta:     theta,
+		tables:    make([]aliasTable, len(cp)),
+	}
+	err = c.rebuild()
+	return c, err
+}
+
+// rebuild reconstructs every phase's alias table over the currently
+// active processes; called at construction and after every crash.
+func (c *phasedCore) rebuild() (err error) {
+	for i := range c.phases {
+		if c.wBuf, err = c.buildAlias(&c.tables[i], c.phases[i].Weights, c.wBuf); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// tick advances the phase clock by one step and returns the alias
+// table of the phase governing that step.
+func (c *phasedCore) tick() *aliasTable {
+	if c.left == 0 {
+		c.idx = (c.idx + 1) % len(c.phases)
+		c.left = c.phases[c.idx].Steps
+	}
+	c.left--
+	return &c.tables[c.idx]
+}
+
+// Threshold implements Scheduler: the worst-case minimum probability
+// over all phases (crash-free).
+func (c *phasedCore) Threshold() float64 { return c.theta }
+
+// Crash implements Crasher, rebuilding every phase table over the
+// shrunken active set.
+func (c *phasedCore) Crash(pid int) error {
+	if err := c.activeSet.Crash(pid); err != nil {
+		return err
+	}
+	return c.rebuild()
+}
+
 // Phased is a time-varying stochastic scheduler: Definition 1 lets
 // the distribution Π_τ change at every step, and Phased realises a
 // simple instance — the schedule cycles through a sequence of
@@ -16,32 +116,13 @@ import (
 // minimum probability across all phases, so the scheduler remains
 // stochastic as long as every weight is positive.
 //
-// Each phase — each row of the cyclic modulation — owns a Walker
-// alias table over the active processes, so the per-step draw is O(1)
-// regardless of n and of the number of phases. The tables depend only
-// on the phase weights restricted to A_τ and are rebuilt exactly when
-// a process crashes.
+// Each phase — each row of the cyclic modulation — owns an alias
+// table in the core, so the per-step draw is O(1) regardless of n and
+// of the number of phases.
 type Phased struct {
-	src    *rng.Source
-	phases []Phase
-	active activeSet
-	idx    int    // current phase
-	left   uint64 // steps remaining in the current phase
-	theta  float64
-
-	tables []aliasTable
-	wBuf   []float64 // rebuild scratch
-
+	phasedCore
+	src     *rng.Source
 	scratch []float64 // NextNaive scratch
-}
-
-// Phase is one segment of a Phased schedule.
-type Phase struct {
-	// Weights gives each process's scheduling weight in this phase;
-	// all must be strictly positive.
-	Weights []float64
-	// Steps is the phase length; must be >= 1.
-	Steps uint64
 }
 
 var (
@@ -52,108 +133,21 @@ var (
 // NewPhased builds a time-varying scheduler cycling through the given
 // phases over n processes.
 func NewPhased(n int, phases []Phase, src *rng.Source) (*Phased, error) {
-	if n < 1 {
-		return nil, ErrNoProcesses
-	}
-	if src == nil {
-		return nil, errors.New("sched: nil rng source")
-	}
-	if len(phases) == 0 {
-		return nil, errors.New("sched: need at least one phase")
-	}
-	theta := 1.0
-	cp := make([]Phase, len(phases))
-	for i, ph := range phases {
-		if len(ph.Weights) != n {
-			return nil, fmt.Errorf("sched: phase %d has %d weights for %d processes",
-				i, len(ph.Weights), n)
-		}
-		if ph.Steps < 1 {
-			return nil, fmt.Errorf("sched: phase %d has zero length", i)
-		}
-		var total float64
-		minW := ph.Weights[0]
-		ws := make([]float64, n)
-		for j, w := range ph.Weights {
-			if w <= 0 {
-				return nil, fmt.Errorf("sched: phase %d weight %d is not strictly positive", i, j)
-			}
-			ws[j] = w
-			total += w
-			if w < minW {
-				minW = w
-			}
-		}
-		if t := minW / total; t < theta {
-			theta = t
-		}
-		cp[i] = Phase{Weights: ws, Steps: ph.Steps}
-	}
-	p := &Phased{
-		src:     src,
-		phases:  cp,
-		active:  newActiveSet(n),
-		left:    cp[0].Steps,
-		theta:   theta,
-		tables:  make([]aliasTable, len(cp)),
-		scratch: make([]float64, n),
-	}
-	if err := p.rebuild(); err != nil {
+	c, err := newPhasedCore(n, phases, sourceErr(src))
+	if err != nil {
 		return nil, err
 	}
-	return p, nil
-}
-
-// rebuild reconstructs every phase's alias table over the currently
-// active processes; called at construction and after every crash.
-func (p *Phased) rebuild() error {
-	for i := range p.phases {
-		p.wBuf = grow(p.wBuf, len(p.active.ids))
-		for j, pid := range p.active.ids {
-			p.wBuf[j] = p.phases[i].Weights[pid]
-		}
-		if err := p.tables[i].build(p.active.ids, p.wBuf); err != nil {
-			return err
-		}
-	}
-	return nil
+	return &Phased{phasedCore: c, src: src, scratch: make([]float64, n)}, nil
 }
 
 // Next implements Scheduler in O(1) via the current phase's alias
 // table.
 func (p *Phased) Next() (int, error) {
-	if p.active.correct() == 0 {
+	if p.NumCorrect() == 0 {
 		return 0, ErrAllCrashed
 	}
-	if p.left == 0 {
-		p.idx = (p.idx + 1) % len(p.phases)
-		p.left = p.phases[p.idx].Steps
-	}
-	p.left--
-	return p.tables[p.idx].draw(p.src), nil
+	return p.tick().draw(p.src), nil
 }
-
-// N implements Scheduler.
-func (p *Phased) N() int { return len(p.active.alive) }
-
-// Threshold implements Scheduler: the worst-case minimum probability
-// over all phases (crash-free).
-func (p *Phased) Threshold() float64 { return p.theta }
 
 // CurrentPhase returns the index of the phase governing the next step.
 func (p *Phased) CurrentPhase() int { return p.idx }
-
-// Crash implements Crasher, rebuilding every phase table over the
-// shrunken active set.
-func (p *Phased) Crash(pid int) error {
-	if err := p.active.crash(pid); err != nil {
-		return err
-	}
-	return p.rebuild()
-}
-
-// Correct implements Crasher.
-func (p *Phased) Correct(pid int) bool { return p.active.isCorrect(pid) }
-
-// NumCorrect implements Crasher.
-func (p *Phased) NumCorrect() int { return p.active.correct() }

@@ -31,6 +31,13 @@
 // scan samplers survive as the NextNaive methods (see naive.go),
 // which the equivalence tests and before/after benchmarks use as the
 // reference implementation.
+//
+// Each scheduler family keeps its configuration — the active set A_τ,
+// θ and the shared sampling structure — in one unexported core that
+// both the scalar scheduler and its replica-batched drawer (batch.go)
+// embed. The core owns the family's validation, rebuild, Crash,
+// Threshold and N; a scalar scheduler adds only its rng source (and,
+// for Sticky, its last pick).
 package sched
 
 import (
@@ -80,19 +87,45 @@ type Crasher interface {
 	NumCorrect() int
 }
 
-// activeSet tracks the possibly-active processes shared by the
-// stochastic schedulers. It keeps three views in sync: a boolean
-// membership array (O(1) Correct), a dense id list maintained by
-// swap-remove (O(1) uniform draws with no per-step allocation, at the
-// cost of the list being unordered after a crash), and the inverse
-// permutation pos mapping each live pid to its slot in ids.
+// Shared constructor errors.
+var (
+	errNilSource   = errors.New("sched: nil rng source")
+	errNilStrategy = errors.New("sched: nil strategy")
+)
+
+// sourceErr is a scalar constructor's verdict on its randomness.
+func sourceErr(src *rng.Source) error {
+	if src == nil {
+		return errNilSource
+	}
+	return nil
+}
+
+// activeSet tracks the possibly-active processes A_τ. It keeps three
+// views in sync: a boolean membership array (O(1) Correct), a dense id
+// list maintained by swap-remove (O(1) uniform draws with no per-step
+// allocation, at the cost of the list being unordered after a crash),
+// and the inverse permutation pos mapping each live pid to its slot in
+// ids. Every crash-capable scheduler and batch drawer embeds one
+// through its family core and so gets N, Crash, Correct and
+// NumCorrect by promotion.
 type activeSet struct {
 	alive []bool
 	ids   []int32 // dense list of correct pids; unordered after crashes
 	pos   []int32 // pid -> index into ids, -1 once crashed
 }
 
-func newActiveSet(n int) activeSet {
+// newActive checks a family's process count, then srcErr — the
+// caller's missing randomness (a nil source, no seeds, zero width),
+// which every constructor reports right after the count — and returns
+// the full active set over n processes.
+func newActive(n int, srcErr error) (activeSet, error) {
+	if n < 1 {
+		return activeSet{}, ErrNoProcesses
+	}
+	if srcErr != nil {
+		return activeSet{}, srcErr
+	}
 	alive := make([]bool, n)
 	ids := make([]int32, n)
 	pos := make([]int32, n)
@@ -101,10 +134,14 @@ func newActiveSet(n int) activeSet {
 		ids[i] = int32(i)
 		pos[i] = int32(i)
 	}
-	return activeSet{alive: alive, ids: ids, pos: pos}
+	return activeSet{alive: alive, ids: ids, pos: pos}, nil
 }
 
-func (a *activeSet) crash(pid int) error {
+// N returns the total number of processes (crashed or not).
+func (a *activeSet) N() int { return len(a.alive) }
+
+// Crash removes pid from A_τ. At most n-1 processes may crash.
+func (a *activeSet) Crash(pid int) error {
 	if pid < 0 || pid >= len(a.alive) {
 		return fmt.Errorf("%w: %d", ErrBadProcess, pid)
 	}
@@ -125,23 +162,64 @@ func (a *activeSet) crash(pid int) error {
 	return nil
 }
 
-func (a *activeSet) isCorrect(pid int) bool {
+// Correct reports whether pid is still active.
+func (a *activeSet) Correct(pid int) bool {
 	return pid >= 0 && pid < len(a.alive) && a.alive[pid]
 }
 
-// correct returns |A_τ|.
-func (a *activeSet) correct() int { return len(a.ids) }
+// NumCorrect returns |A_τ|.
+func (a *activeSet) NumCorrect() int { return len(a.ids) }
 
 // pick returns a uniformly random correct pid in O(1).
 func (a *activeSet) pick(src *rng.Source) int {
 	return int(a.ids[src.Intn(len(a.ids))])
 }
 
+// buildAlias rebuilds t over the active ids, weighting each by
+// weights[pid]; buf is the caller's rebuild scratch, returned resized.
+func (a *activeSet) buildAlias(t *aliasTable, weights, buf []float64) ([]float64, error) {
+	buf = grow(buf, len(a.ids))
+	for i, pid := range a.ids {
+		buf[i] = weights[pid]
+	}
+	return buf, t.build(a.ids, buf)
+}
+
+// minShare returns the smallest share minW/total of a weight vector,
+// and the index of its first non-positive weight (-1 if none).
+func minShare(weights []float64) (float64, int) {
+	var total float64
+	minW := weights[0]
+	for i, w := range weights {
+		if w <= 0 {
+			return 0, i
+		}
+		total += w
+		if w < minW {
+			minW = w
+		}
+	}
+	return minW / total, -1
+}
+
+// uniformCore is the Uniform family's configuration: the active set
+// alone.
+type uniformCore struct{ activeSet }
+
+func newUniformCore(n int, srcErr error) (uniformCore, error) {
+	a, err := newActive(n, srcErr)
+	return uniformCore{a}, err
+}
+
+// Threshold implements Scheduler: θ = 1/n (with crashes the actual
+// per-step probability only grows, so 1/n remains a valid threshold).
+func (c *uniformCore) Threshold() float64 { return 1 / float64(c.N()) }
+
 // Uniform is the uniform stochastic scheduler of Section 2.3: every
 // active process is scheduled with probability 1/|A_τ| at every step.
 type Uniform struct {
+	uniformCore
 	src      *rng.Source
-	active   activeSet
 	naiveIDs []int // scratch for NextNaive only
 }
 
@@ -153,58 +231,78 @@ var (
 // NewUniform returns a uniform stochastic scheduler over n processes
 // drawing randomness from src.
 func NewUniform(n int, src *rng.Source) (*Uniform, error) {
-	if n < 1 {
-		return nil, ErrNoProcesses
+	c, err := newUniformCore(n, sourceErr(src))
+	if err != nil {
+		return nil, err
 	}
-	if src == nil {
-		return nil, errors.New("sched: nil rng source")
-	}
-	return &Uniform{src: src, active: newActiveSet(n)}, nil
+	return &Uniform{uniformCore: c, src: src}, nil
 }
 
 // Next implements Scheduler in O(1): one bounded draw from the dense
 // active-id list, crashes or not.
 func (u *Uniform) Next() (int, error) {
-	if u.active.correct() == 0 {
+	if u.NumCorrect() == 0 {
 		return 0, ErrAllCrashed
 	}
-	return u.active.pick(u.src), nil
+	return u.pick(u.src), nil
 }
 
-// N implements Scheduler.
-func (u *Uniform) N() int { return len(u.active.alive) }
+// weightedCore is the Weighted family's configuration: the weights,
+// θ, and the Walker alias table over the active processes. The table
+// depends only on the weight restriction to A_τ, so it is rebuilt (in
+// O(|A_τ|)) exactly when a process crashes and never on the per-step
+// path.
+type weightedCore struct {
+	activeSet
+	weights []float64
+	theta   float64
+	table   aliasTable
+	wBuf    []float64 // rebuild scratch: weights of the active ids
+}
 
-// Threshold implements Scheduler: θ = 1/n (with crashes the actual
-// per-step probability only grows, so 1/n remains a valid threshold).
-func (u *Uniform) Threshold() float64 { return 1 / float64(len(u.active.alive)) }
+// newWeightedCore validates the weights — strictly positive, so that
+// the weak-fairness condition (θ > 0) holds — and builds the table.
+func newWeightedCore(weights []float64, srcErr error) (weightedCore, error) {
+	a, err := newActive(len(weights), srcErr)
+	if err != nil {
+		return weightedCore{}, err
+	}
+	theta, bad := minShare(weights)
+	if bad >= 0 {
+		return weightedCore{}, fmt.Errorf("sched: weight %v is not strictly positive", weights[bad])
+	}
+	c := weightedCore{activeSet: a, weights: append([]float64(nil), weights...), theta: theta}
+	err = c.rebuild()
+	return c, err
+}
 
-// Crash implements Crasher.
-func (u *Uniform) Crash(pid int) error { return u.active.crash(pid) }
+// rebuild reconstructs the alias table over the currently active
+// processes. Called at construction and after every crash.
+func (c *weightedCore) rebuild() (err error) {
+	c.wBuf, err = c.buildAlias(&c.table, c.weights, c.wBuf)
+	return err
+}
 
-// Correct implements Crasher.
-func (u *Uniform) Correct(pid int) bool { return u.active.isCorrect(pid) }
+// Threshold implements Scheduler.
+func (c *weightedCore) Threshold() float64 { return c.theta }
 
-// NumCorrect implements Crasher.
-func (u *Uniform) NumCorrect() int { return u.active.correct() }
+// Crash implements Crasher, rebuilding the alias table over the
+// shrunken active set (O(|A_τ|), amortized over at most n-1 crashes).
+func (c *weightedCore) Crash(pid int) error {
+	if err := c.activeSet.Crash(pid); err != nil {
+		return err
+	}
+	return c.rebuild()
+}
 
 // Weighted schedules process i with fixed probability proportional to
 // weights[i], renormalized over the active set after crashes. The
 // threshold θ is the minimum renormalized probability across active
 // processes in the crash-free case; it is validated at construction.
-//
-// Draws are O(1) through a Walker alias table over the active
-// processes. The table depends only on the weight restriction to A_τ,
-// so it is rebuilt (in O(|A_τ|)) exactly when a process crashes and
-// never on the per-step path.
+// Draws are O(1) through the core's alias table.
 type Weighted struct {
+	weightedCore
 	src     *rng.Source
-	weights []float64
-	active  activeSet
-	theta   float64
-
-	table aliasTable
-	wBuf  []float64 // rebuild scratch: weights of the active ids
-
 	scratch []float64 // NextNaive scratch
 }
 
@@ -216,97 +314,92 @@ var (
 // NewWeighted builds a weighted stochastic scheduler. Weights must be
 // strictly positive so that the weak-fairness condition (θ > 0) holds.
 func NewWeighted(weights []float64, src *rng.Source) (*Weighted, error) {
-	if len(weights) == 0 {
-		return nil, ErrNoProcesses
-	}
-	if src == nil {
-		return nil, errors.New("sched: nil rng source")
-	}
-	var total float64
-	minW := weights[0]
-	for _, w := range weights {
-		if w <= 0 {
-			return nil, fmt.Errorf("sched: weight %v is not strictly positive", w)
-		}
-		total += w
-		if w < minW {
-			minW = w
-		}
-	}
-	ws := make([]float64, len(weights))
-	copy(ws, weights)
-	w := &Weighted{
-		src:     src,
-		weights: ws,
-		active:  newActiveSet(len(weights)),
-		theta:   minW / total,
-		scratch: make([]float64, len(weights)),
-	}
-	if err := w.rebuild(); err != nil {
+	c, err := newWeightedCore(weights, sourceErr(src))
+	if err != nil {
 		return nil, err
 	}
-	return w, nil
+	return &Weighted{weightedCore: c, src: src, scratch: make([]float64, len(weights))}, nil
 }
 
-// rebuild reconstructs the alias table over the currently active
-// processes. Called at construction and after every crash.
-func (w *Weighted) rebuild() error {
-	w.wBuf = grow(w.wBuf, len(w.active.ids))
-	for i, pid := range w.active.ids {
-		w.wBuf[i] = w.weights[pid]
-	}
-	return w.table.build(w.active.ids, w.wBuf)
-}
-
-// Next implements Scheduler in O(1) via the alias table.
+// Next implements Scheduler in O(1) via the alias table. It reads
+// len(w.ids) directly to stay within the compiler's inlining budget.
 func (w *Weighted) Next() (int, error) {
-	if w.active.correct() == 0 {
+	if len(w.ids) == 0 {
 		return 0, ErrAllCrashed
 	}
 	return w.table.draw(w.src), nil
 }
 
-// N implements Scheduler.
-func (w *Weighted) N() int { return len(w.weights) }
-
-// Threshold implements Scheduler.
-func (w *Weighted) Threshold() float64 { return w.theta }
-
-// Crash implements Crasher, rebuilding the alias table over the
-// shrunken active set (O(|A_τ|), amortized over at most n-1 crashes).
-func (w *Weighted) Crash(pid int) error {
-	if err := w.active.crash(pid); err != nil {
-		return err
-	}
-	return w.rebuild()
+// lotteryCore is the Lottery family's configuration: the ticket
+// holdings and a Fenwick tree over the active ticket counts, with the
+// active ticket total maintained incrementally rather than recomputed
+// per step.
+type lotteryCore struct {
+	activeSet
+	tickets     []int
+	total       int // all tickets, crashed holders included (Threshold)
+	fen         *fenwick
+	activeTotal int64 // tickets held by correct processes
 }
 
-// Correct implements Crasher.
-func (w *Weighted) Correct(pid int) bool { return w.active.isCorrect(pid) }
+// newLotteryCore validates the holdings (every process needs at least
+// one ticket) and builds the tree.
+func newLotteryCore(tickets []int, srcErr error) (lotteryCore, error) {
+	a, err := newActive(len(tickets), srcErr)
+	if err != nil {
+		return lotteryCore{}, err
+	}
+	ts := make([]int, len(tickets))
+	vals := make([]int64, len(tickets))
+	total := 0
+	for i, t := range tickets {
+		if t < 1 {
+			return lotteryCore{}, fmt.Errorf("sched: process %d holds %d tickets, need >= 1", i, t)
+		}
+		ts[i] = t
+		vals[i] = int64(t)
+		total += t
+	}
+	fen := newFenwick(len(tickets))
+	fen.init(vals)
+	return lotteryCore{activeSet: a, tickets: ts, total: total, fen: fen, activeTotal: int64(total)}, nil
+}
 
-// NumCorrect implements Crasher.
-func (w *Weighted) NumCorrect() int { return w.active.correct() }
+// Threshold implements Scheduler: the minimum ticket share.
+func (c *lotteryCore) Threshold() float64 {
+	minT := c.tickets[0]
+	for _, t := range c.tickets {
+		if t < minT {
+			minT = t
+		}
+	}
+	return float64(minT) / float64(c.total)
+}
+
+// Crash implements Crasher, zeroing pid's tickets in the tree so the
+// inverse-CDF search skips it (O(log n)).
+func (c *lotteryCore) Crash(pid int) error {
+	if err := c.activeSet.Crash(pid); err != nil {
+		return err
+	}
+	c.fen.add(pid, -int64(c.tickets[pid]))
+	c.activeTotal -= int64(c.tickets[pid])
+	return nil
+}
 
 // Lottery implements lottery scheduling [Petrou et al. 1999]: each
 // process holds an integer number of tickets and is scheduled with
 // probability proportional to its holding. It is a Weighted scheduler
 // with integer weights and runtime ticket transfers.
 //
-// Draws resolve the winning ticket through a Fenwick tree over the
-// active ticket counts: O(log n) per draw, per transfer, and per
-// crash, with the active ticket total maintained incrementally rather
-// than recomputed per step. The tree's inverse-CDF search visits
-// processes in id order exactly as the superseded linear scan did, so
-// for identical rng states Next returns the identical pid sequence
-// (see TestLotterySequenceMatchesNaive).
+// Draws resolve the winning ticket through the core's Fenwick tree:
+// O(log n) per draw, per transfer, and per crash. The tree's
+// inverse-CDF search visits processes in id order exactly as the
+// superseded linear scan did, so for identical rng states Next returns
+// the identical pid sequence (see TestLotterySequenceMatchesNaive).
 type Lottery struct {
-	src     *rng.Source
-	tickets []int
-	active  activeSet
-	total   int // all tickets, crashed holders included (Threshold)
-
-	fen         *fenwick
-	activeTotal int64 // tickets held by correct processes
+	lotteryCore
+	src *rng.Source
 }
 
 var (
@@ -317,39 +410,17 @@ var (
 // NewLottery builds a lottery scheduler; every process must hold at
 // least one ticket.
 func NewLottery(tickets []int, src *rng.Source) (*Lottery, error) {
-	if len(tickets) == 0 {
-		return nil, ErrNoProcesses
+	c, err := newLotteryCore(tickets, sourceErr(src))
+	if err != nil {
+		return nil, err
 	}
-	if src == nil {
-		return nil, errors.New("sched: nil rng source")
-	}
-	ts := make([]int, len(tickets))
-	vals := make([]int64, len(tickets))
-	total := 0
-	for i, t := range tickets {
-		if t < 1 {
-			return nil, fmt.Errorf("sched: process %d holds %d tickets, need >= 1", i, t)
-		}
-		ts[i] = t
-		vals[i] = int64(t)
-		total += t
-	}
-	fen := newFenwick(len(tickets))
-	fen.init(vals)
-	return &Lottery{
-		src:         src,
-		tickets:     ts,
-		active:      newActiveSet(len(tickets)),
-		total:       total,
-		fen:         fen,
-		activeTotal: int64(total),
-	}, nil
+	return &Lottery{lotteryCore: c, src: src}, nil
 }
 
 // Next implements Scheduler by drawing a winning ticket among active
 // processes and resolving its holder in O(log n).
 func (l *Lottery) Next() (int, error) {
-	if l.active.correct() == 0 {
+	if l.NumCorrect() == 0 {
 		return 0, ErrAllCrashed
 	}
 	win := l.src.Intn(int(l.activeTotal))
@@ -368,43 +439,36 @@ func (l *Lottery) SetTickets(pid, tickets int) error {
 	delta := tickets - l.tickets[pid]
 	l.total += delta
 	l.tickets[pid] = tickets
-	if l.active.alive[pid] {
+	if l.alive[pid] {
 		l.fen.add(pid, int64(delta))
 		l.activeTotal += int64(delta)
 	}
 	return nil
 }
 
-// N implements Scheduler.
-func (l *Lottery) N() int { return len(l.tickets) }
-
-// Threshold implements Scheduler: the minimum ticket share.
-func (l *Lottery) Threshold() float64 {
-	minT := l.tickets[0]
-	for _, t := range l.tickets {
-		if t < minT {
-			minT = t
-		}
-	}
-	return float64(minT) / float64(l.total)
+// stickyCore is the Sticky family's configuration: the active set and
+// the stickiness ρ. The previous pick is per-replica state and lives
+// in the scheduler or drawer.
+type stickyCore struct {
+	activeSet
+	rho float64
 }
 
-// Crash implements Crasher, zeroing pid's tickets in the tree so the
-// inverse-CDF search skips it (O(log n)).
-func (l *Lottery) Crash(pid int) error {
-	if err := l.active.crash(pid); err != nil {
-		return err
+func newStickyCore(n int, rho float64, srcErr error) (stickyCore, error) {
+	a, err := newActive(n, srcErr)
+	if err != nil {
+		return stickyCore{}, err
 	}
-	l.fen.add(pid, -int64(l.tickets[pid]))
-	l.activeTotal -= int64(l.tickets[pid])
-	return nil
+	if rho < 0 || rho >= 1 {
+		return stickyCore{}, ErrBadStickiness
+	}
+	return stickyCore{activeSet: a, rho: rho}, nil
 }
 
-// Correct implements Crasher.
-func (l *Lottery) Correct(pid int) bool { return l.active.isCorrect(pid) }
-
-// NumCorrect implements Crasher.
-func (l *Lottery) NumCorrect() int { return l.active.correct() }
+// Threshold implements Scheduler: (1-ρ)/n.
+func (c *stickyCore) Threshold() float64 {
+	return (1 - c.rho) / float64(c.N())
+}
 
 // Sticky is a Markov-modulated scheduler: with probability rho it
 // schedules the same process as the previous step; otherwise it picks
@@ -415,9 +479,8 @@ func (l *Lottery) NumCorrect() int { return l.active.correct() }
 // are sampled in O(1): the sticky branch is a Bernoulli trial and the
 // exploration branch draws from the dense active set.
 type Sticky struct {
+	stickyCore
 	src      *rng.Source
-	rho      float64
-	active   activeSet
 	last     int
 	primed   bool
 	naiveIDs []int // scratch for NextNaive only
@@ -430,58 +493,64 @@ var (
 
 // NewSticky builds a sticky scheduler with stickiness rho in [0, 1).
 func NewSticky(n int, rho float64, src *rng.Source) (*Sticky, error) {
-	if n < 1 {
-		return nil, ErrNoProcesses
+	c, err := newStickyCore(n, rho, sourceErr(src))
+	if err != nil {
+		return nil, err
 	}
-	if src == nil {
-		return nil, errors.New("sched: nil rng source")
-	}
-	if rho < 0 || rho >= 1 {
-		return nil, ErrBadStickiness
-	}
-	return &Sticky{src: src, rho: rho, active: newActiveSet(n)}, nil
+	return &Sticky{stickyCore: c, src: src}, nil
 }
 
 // Next implements Scheduler in O(1).
 func (s *Sticky) Next() (int, error) {
-	if s.active.correct() == 0 {
+	if s.NumCorrect() == 0 {
 		return 0, ErrAllCrashed
 	}
-	if s.primed && s.active.alive[s.last] && s.src.Bernoulli(s.rho) {
+	if s.primed && s.alive[s.last] && s.src.Bernoulli(s.rho) {
 		return s.last, nil
 	}
-	pid := s.active.pick(s.src)
+	pid := s.pick(s.src)
 	s.last = pid
 	s.primed = true
 	return pid, nil
 }
 
-// N implements Scheduler.
-func (s *Sticky) N() int { return len(s.active.alive) }
-
-// Threshold implements Scheduler: (1-ρ)/n.
-func (s *Sticky) Threshold() float64 {
-	return (1 - s.rho) / float64(len(s.active.alive))
+// roundRobinCore is the RoundRobin family's configuration: the active
+// set and the cyclic cursor. The schedule is deterministic, so the
+// cursor is configuration too — every replica is at the same position.
+type roundRobinCore struct {
+	activeSet
+	next int
 }
 
-// Crash implements Crasher.
-func (s *Sticky) Crash(pid int) error { return s.active.crash(pid) }
+func newRoundRobinCore(n int, srcErr error) (roundRobinCore, error) {
+	a, err := newActive(n, srcErr)
+	return roundRobinCore{activeSet: a}, err
+}
 
-// Correct implements Crasher.
-func (s *Sticky) Correct(pid int) bool { return s.active.isCorrect(pid) }
+// advance returns the next correct pid in cyclic id order.
+func (c *roundRobinCore) advance() (int, error) {
+	if c.NumCorrect() == 0 {
+		return 0, ErrAllCrashed
+	}
+	for {
+		pid := c.next
+		c.next = (c.next + 1) % len(c.alive)
+		if c.alive[pid] {
+			return pid, nil
+		}
+	}
+}
 
-// NumCorrect implements Crasher.
-func (s *Sticky) NumCorrect() int { return s.active.correct() }
+// Threshold implements Scheduler. RoundRobin is deterministic, so it
+// provides no probabilistic threshold.
+func (c *roundRobinCore) Threshold() float64 { return 0 }
 
 // RoundRobin is the deterministic fair baseline: processes take steps
 // in cyclic id order, skipping crashed ones. Its threshold is 0 (it is
 // not stochastic), but every schedule it produces is uniformly
 // isolating in the trivial k=1 sense and perfectly fair in the long
 // run.
-type RoundRobin struct {
-	active activeSet
-	next   int
-}
+type RoundRobin struct{ roundRobinCore }
 
 var (
 	_ Scheduler = (*RoundRobin)(nil)
@@ -490,84 +559,77 @@ var (
 
 // NewRoundRobin builds a round-robin scheduler over n processes.
 func NewRoundRobin(n int) (*RoundRobin, error) {
-	if n < 1 {
-		return nil, ErrNoProcesses
+	c, err := newRoundRobinCore(n, nil)
+	if err != nil {
+		return nil, err
 	}
-	return &RoundRobin{active: newActiveSet(n)}, nil
+	return &RoundRobin{c}, nil
 }
 
 // Next implements Scheduler.
-func (r *RoundRobin) Next() (int, error) {
-	if r.active.correct() == 0 {
-		return 0, ErrAllCrashed
-	}
-	for {
-		pid := r.next
-		r.next = (r.next + 1) % len(r.active.alive)
-		if r.active.alive[pid] {
-			return pid, nil
-		}
-	}
-}
-
-// N implements Scheduler.
-func (r *RoundRobin) N() int { return len(r.active.alive) }
-
-// Threshold implements Scheduler. RoundRobin is deterministic, so it
-// provides no probabilistic threshold.
-func (r *RoundRobin) Threshold() float64 { return 0 }
-
-// Crash implements Crasher.
-func (r *RoundRobin) Crash(pid int) error { return r.active.crash(pid) }
-
-// Correct implements Crasher.
-func (r *RoundRobin) Correct(pid int) bool { return r.active.isCorrect(pid) }
-
-// NumCorrect implements Crasher.
-func (r *RoundRobin) NumCorrect() int { return r.active.correct() }
+func (r *RoundRobin) Next() (int, error) { return r.advance() }
 
 // Strategy chooses the process to schedule at time step tau given the
 // number of processes. It encodes a classic asynchronous adversary as
 // a point-mass distribution per step (Section 2.3).
 type Strategy func(tau uint64, n int) int
 
-// Adversarial drives scheduling from a Strategy; θ = 0.
-type Adversarial struct {
+// adversaryCore is the Adversarial family's configuration: the
+// strategy and its step clock. The strategy is a deterministic
+// function of the clock, so every replica sees the same schedule.
+type adversaryCore struct {
 	n        int
 	tau      uint64
 	strategy Strategy
 }
 
-var _ Scheduler = (*Adversarial)(nil)
-
-// NewAdversarial builds an adversarial scheduler over n processes.
-func NewAdversarial(n int, strategy Strategy) (*Adversarial, error) {
+func newAdversaryCore(n int, strategy Strategy, srcErr error) (adversaryCore, error) {
 	if n < 1 {
-		return nil, ErrNoProcesses
+		return adversaryCore{}, ErrNoProcesses
+	}
+	if srcErr != nil {
+		return adversaryCore{}, srcErr
 	}
 	if strategy == nil {
-		return nil, errors.New("sched: nil strategy")
+		return adversaryCore{}, errNilStrategy
 	}
-	return &Adversarial{n: n, strategy: strategy}, nil
+	return adversaryCore{n: n, strategy: strategy}, nil
 }
 
-// Next implements Scheduler. A strategy returning an out-of-range id
-// is an error (the adversary must be well-formed).
-func (a *Adversarial) Next() (int, error) {
-	pid := a.strategy(a.tau, a.n)
-	a.tau++
-	if pid < 0 || pid >= a.n {
-		return 0, fmt.Errorf("%w: strategy chose %d of %d", ErrBadProcess, pid, a.n)
+// advance asks the strategy for the next pid. A strategy returning an
+// out-of-range id is an error (the adversary must be well-formed).
+func (c *adversaryCore) advance() (int, error) {
+	pid := c.strategy(c.tau, c.n)
+	c.tau++
+	if pid < 0 || pid >= c.n {
+		return 0, fmt.Errorf("%w: strategy chose %d of %d", ErrBadProcess, pid, c.n)
 	}
 	return pid, nil
 }
 
 // N implements Scheduler.
-func (a *Adversarial) N() int { return a.n }
+func (c *adversaryCore) N() int { return c.n }
 
 // Threshold implements Scheduler. Adversaries carry no probabilistic
 // guarantee.
-func (a *Adversarial) Threshold() float64 { return 0 }
+func (c *adversaryCore) Threshold() float64 { return 0 }
+
+// Adversarial drives scheduling from a Strategy; θ = 0.
+type Adversarial struct{ adversaryCore }
+
+var _ Scheduler = (*Adversarial)(nil)
+
+// NewAdversarial builds an adversarial scheduler over n processes.
+func NewAdversarial(n int, strategy Strategy) (*Adversarial, error) {
+	c, err := newAdversaryCore(n, strategy, nil)
+	if err != nil {
+		return nil, err
+	}
+	return &Adversarial{c}, nil
+}
+
+// Next implements Scheduler.
+func (a *Adversarial) Next() (int, error) { return a.advance() }
 
 // SingleOut returns a Strategy that starves victim: it cycles through
 // all other processes and never schedules the victim. Used in tests

@@ -45,7 +45,7 @@ type nodeCell struct {
 // batchRef packs a slot and its current tag into a register value,
 // exactly like the scalar ref: slot+1 keeps 0 as the null reference.
 func batchRef(meta []nodeMeta, slot int) int64 {
-	return meta[slot].tag<<20 | int64(slot+1)
+	return meta[slot].tag<<slotBits | int64(slot+1)
 }
 
 // setRef assigns *field = ref, maintaining the per-slot reference

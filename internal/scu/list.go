@@ -89,10 +89,10 @@ func (l *List) tailSlot() int { return l.n*l.poolSize + 1 }
 func (l *List) keyReg(slot int) int  { return l.base + 2*slot }
 func (l *List) nextReg(slot int) int { return l.base + 2*slot + 1 }
 
-// Reference encoding: tag<<21 | (slot+1)<<1 | mark.
-func (l *List) ref(slot int) int64 { return l.tags[slot]<<21 | int64(slot+1)<<1 }
+// Reference encoding: tag<<(slotBits+1) | (slot+1)<<1 | mark.
+func (l *List) ref(slot int) int64 { return l.tags[slot]<<(slotBits+1) | int64(slot+1)<<1 }
 
-func listSlot(ref int64) int    { return int((ref>>1)&0xfffff) - 1 }
+func listSlot(ref int64) int    { return int((ref>>1)&MaxSlots) - 1 }
 func listMarked(ref int64) bool { return ref&1 == 1 }
 func listMark(ref int64) int64  { return ref | 1 }
 func listClean(ref int64) int64 { return ref &^ 1 }

@@ -79,7 +79,7 @@ func (q *Queue) tailReg() int          { return q.base + 1 }
 func (q *Queue) valueReg(slot int) int { return q.base + 2 + 2*slot }
 func (q *Queue) nextReg(slot int) int  { return q.base + 3 + 2*slot }
 
-func (q *Queue) ref(slot int) int64 { return q.tags[slot]<<20 | int64(slot+1) }
+func (q *Queue) ref(slot int) int64 { return q.tags[slot]<<slotBits | int64(slot+1) }
 
 // Err reports the first structural error (pool exhaustion or missing
 // Init), if any.

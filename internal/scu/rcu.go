@@ -78,7 +78,7 @@ func RCULayout(updaters, poolSize int) int { return 1 + updaters*poolSize }
 
 func (r *RCU) versionReg() int          { return r.base }
 func (r *RCU) snapshotReg(slot int) int { return r.base + 1 + slot }
-func (r *RCU) ref(slot int) int64       { return r.tags[slot]<<20 | int64(slot+1) }
+func (r *RCU) ref(slot int) int64       { return r.tags[slot]<<slotBits | int64(slot+1) }
 
 // Violations returns the number of reads that observed a snapshot
 // inconsistent with the version they followed.

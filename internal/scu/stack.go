@@ -68,11 +68,19 @@ func NewStack(n, poolSize, base int) (*Stack, error) {
 // registers (value, next) per node slot.
 func StackLayout(n, poolSize int) int { return 1 + 2*n*poolSize }
 
+// Every node reference in this package keeps slot+1 in its low
+// slotBits bits (above the List's mark bit), so one pool addresses at
+// most MaxSlots slots; a larger pool would alias slots.
+const (
+	slotBits = 20
+	MaxSlots = 1<<slotBits - 1
+)
+
 // ref packs a slot index and its reuse tag into a register value;
 // slot+1 keeps 0 as the null reference.
-func (st *Stack) ref(slot int) int64 { return st.tags[slot]<<20 | int64(slot+1) }
+func (st *Stack) ref(slot int) int64 { return st.tags[slot]<<slotBits | int64(slot+1) }
 
-func refSlot(ref int64) int { return int(ref&0xfffff) - 1 }
+func refSlot(ref int64) int { return int(ref&MaxSlots) - 1 }
 
 func (st *Stack) valueReg(slot int) int { return st.base + 1 + 2*slot }
 func (st *Stack) nextReg(slot int) int  { return st.base + 2 + 2*slot }

@@ -102,7 +102,7 @@ func (u *WFUniversal) nodeBase(slot int) int {
 func (u *WFUniversal) stateReg(slot int) int      { return u.nodeBase(slot) }
 func (u *WFUniversal) appliedReg(slot, q int) int { return u.nodeBase(slot) + 1 + q }
 func (u *WFUniversal) respReg(slot, q int) int    { return u.nodeBase(slot) + 1 + u.n + q }
-func (u *WFUniversal) ref(slot int) int64         { return u.tags[slot]<<20 | int64(slot+1) }
+func (u *WFUniversal) ref(slot int) int64         { return u.tags[slot]<<slotBits | int64(slot+1) }
 func (u *WFUniversal) initialSlot() int           { return u.n * u.poolSize }
 
 // Init installs the initial node (state 0, nothing applied) and

@@ -421,6 +421,18 @@ func TestStructuredErrors(t *testing.T) {
 			http.StatusBadRequest, api.CodeInvalidGrid},
 		{"wrong version", `{"v":9,"seed":1,"jobs":[{"workload":{"kind":"scu"},"n":2,"steps":10,"warmup_fraction":0}]}`,
 			http.StatusBadRequest, api.CodeUnsupportedVersion},
+		// Shapes beyond the size bounds would panic a sweep worker
+		// allocating them and take the daemon down.
+		{"huge n", `{"v":1,"seed":1,"jobs":[{"workload":{"kind":"scu","s":1},"n":4611686018427387904,"steps":10,"warmup_fraction":0}]}`,
+			http.StatusBadRequest, api.CodeInvalidGrid},
+		{"huge scan", `{"v":1,"seed":1,"jobs":[{"workload":{"kind":"scu","s":4611686018427387904},"n":2,"steps":10,"warmup_fraction":0}]}`,
+			http.StatusBadRequest, api.CodeInvalidGrid},
+		{"huge pool", `{"v":1,"seed":1,"jobs":[{"workload":{"kind":"stack","pool_size":4611686018427387904},"n":2,"steps":10,"warmup_fraction":0}]}`,
+			http.StatusBadRequest, api.CodeInvalidGrid},
+		{"pool past the node references", `{"v":1,"seed":1,"jobs":[{"workload":{"kind":"queue","pool_size":349525},"n":3,"steps":10,"warmup_fraction":0}]}`,
+			http.StatusBadRequest, api.CodeInvalidGrid},
+		{"huge tickets", `{"v":1,"seed":1,"jobs":[{"workload":{"kind":"scu","s":1},"n":2,"sched":{"kind":"lottery","tickets":[4611686018427387904,4611686018427387904]},"steps":10,"warmup_fraction":0}]}`,
+			http.StatusBadRequest, api.CodeInvalidGrid},
 	} {
 		resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", strings.NewReader(tc.body))
 		if err != nil {
@@ -432,6 +444,19 @@ func TestStructuredErrors(t *testing.T) {
 		if e := decodeError(t, resp); e.Code != tc.code {
 			t.Errorf("%s: code %q, want %q", tc.name, e.Code, tc.code)
 		}
+	}
+
+	// The server still answers after the refusals: a valid grid runs
+	// to its last line.
+	id, jobs := submit(t, ts, testGrid())
+	resp, err := http.Get(ts.URL + "/v1/sweeps/" + id + "/results")
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := api.ReadResults(resp.Body)
+	resp.Body.Close()
+	if err != nil || len(results) != jobs {
+		t.Fatalf("valid grid after refusals: %d results of %d, err %v", len(results), jobs, err)
 	}
 
 	for _, path := range []string{"/v1/sweeps/nope", "/v1/sweeps/nope/results", "/bogus"} {

@@ -191,6 +191,23 @@ func TestSweepValidation(t *testing.T) {
 		{Workload: Workload{Kind: Unbounded, WaitFactor: -1}, N: 4, Steps: 1000},
 		{Workload: Workload{Kind: WFUniversal, PoolSize: 1}, N: 4, Steps: 1000},
 		func() Job { j := base; j.Sched = SchedulerSpec{Kind: SchedAdversary}; j.Crash = 1; return j }(),
+		// Shapes beyond the size bounds, which would panic allocating.
+		func() Job { j := base; j.N = 1 << 62; return j }(),
+		func() Job { j := base; j.N = maxProcesses + 1; return j }(),
+		{Workload: Workload{Kind: SCU, S: 1 << 62}, N: 4, Steps: 1000},
+		{Workload: Workload{Kind: SCU, S: maxScan + 1}, N: 4, Steps: 1000},
+		{Workload: Workload{Kind: Stack, PoolSize: 1 << 62}, N: 4, Steps: 1000},
+		{Workload: Workload{Kind: Stack, PoolSize: maxSlots/4 + 1}, N: 4, Steps: 1000},
+		{Workload: Workload{Kind: Stack}, N: maxProcesses, Steps: 1000},
+		// One slot past the node references: the initial dummy would
+		// sit at slot 2^20 - 1.
+		{Workload: Workload{Kind: Queue, PoolSize: 349525}, N: 3, Steps: 1000},
+		{Workload: Workload{Kind: HashSet, PoolSize: 128}, N: 1024, Steps: 1000},
+		func() Job {
+			j := base
+			j.Sched = SchedulerSpec{Kind: SchedLottery, Tickets: []int{1 << 62, 1 << 62, 1, 1}}
+			return j
+		}(),
 	}
 	for i, job := range bad {
 		if err := job.Validate(); err == nil {
@@ -205,6 +222,39 @@ func TestSweepValidation(t *testing.T) {
 		good.Workload = w
 		if err := good.Validate(); err != nil {
 			t.Errorf("good job %+v rejected: %v", w, err)
+		}
+	}
+	// The bounds themselves are inclusive: the largest n, the longest
+	// scan, the largest ticket total, the default pools at n = 4096.
+	for _, good := range []Job{
+		{Workload: Workload{Kind: SCU, S: 1}, N: maxProcesses, Steps: 1000},
+		{Workload: Workload{Kind: SCU, S: maxScan}, N: 4, Steps: 1000},
+		{Workload: Workload{Kind: SCU, S: 1}, N: 2, Steps: 1000,
+			Sched: SchedulerSpec{Kind: SchedLottery, Tickets: []int{maxTickets - 1, 1}}},
+		{Workload: Workload{Kind: Stack}, N: 4096, Steps: 1000},
+		{Workload: Workload{Kind: Queue}, N: 4096, Steps: 1000},
+		{Workload: Workload{Kind: List}, N: 4096, Steps: 1000},
+	} {
+		if err := good.Validate(); err != nil {
+			t.Errorf("job at the size bounds %+v rejected: %v", good.Workload, err)
+		}
+	}
+	// Pools of exactly maxSlots slots validate and run: their last
+	// slot (the queue's dummy, the list's tail sentinel) still has a
+	// node reference.
+	for _, edge := range []Job{
+		{Workload: Workload{Kind: Stack, PoolSize: maxSlots}, N: 1},
+		{Workload: Workload{Kind: Queue, PoolSize: (maxSlots - 1) / 2}, N: 2},
+		{Workload: Workload{Kind: WFUniversal, PoolSize: (maxSlots - 1) / 2}, N: 2},
+		{Workload: Workload{Kind: List, PoolSize: maxSlots - 2}, N: 1},
+		{Workload: Workload{Kind: RCU, PoolSize: maxSlots}, N: 3}, // one writer
+	} {
+		edge.Steps = 2000
+		if got := edge.Workload.slots(edge.N); got != maxSlots {
+			t.Errorf("%s edge case holds %d slots, want %d", edge.Workload.Kind, got, maxSlots)
+		}
+		if _, err := RunJob(edge, 1, nil); err != nil {
+			t.Errorf("%s with %d slots: %v", edge.Workload.Kind, maxSlots, err)
 		}
 	}
 	if _, err := Run(Config{Seed: 1}); err == nil {

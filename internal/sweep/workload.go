@@ -54,11 +54,33 @@ type Workload struct {
 	PoolSize int `json:"pool_size,omitempty"`
 }
 
+// Size bounds on one job, fixed above every size the repository runs
+// (the largest is n = 4096 with the default pool of 64) so that no
+// grid can allocate beyond them through its shape alone.
+const (
+	maxProcesses = 1 << 16
+	// maxScan bounds the SCU scan length S, one register each.
+	maxScan = 1 << 22
+	// maxSlots bounds the node slots of one job's pools, sentinels
+	// and every hash bucket included: past scu.MaxSlots, node
+	// references alias slots.
+	maxSlots = scu.MaxSlots
+	// maxTickets bounds a lottery's ticket total, which each draw
+	// takes as an int range and must not overflow.
+	maxTickets = 1 << 40
+)
+
+// hashBuckets is the HashSet workload's fixed bucket count.
+const hashBuckets = 8
+
 // Validate reports whether the workload is well-formed for n
 // processes.
 func (w Workload) Validate(n int) error {
 	if n < 1 {
 		return fmt.Errorf("sweep: workload %q needs n >= 1, got %d", w.Kind, n)
+	}
+	if n > maxProcesses {
+		return fmt.Errorf("sweep: workload %q needs n <= %d, got %d", w.Kind, maxProcesses, n)
 	}
 	switch w.Kind {
 	case SCU, Parallel, FetchInc, Unbounded, Stack, Queue, RCU, List,
@@ -77,8 +99,37 @@ func (w Workload) Validate(n int) error {
 		return fmt.Errorf("sweep: negative pool size %d", w.PoolSize)
 	case w.Kind == WFUniversal && w.PoolSize == 1:
 		return errors.New("sweep: wfuniversal needs PoolSize >= 2")
+	case w.S > maxScan:
+		return fmt.Errorf("sweep: scan length S=%d exceeds %d", w.S, maxScan)
+	case w.slots(n) > maxSlots:
+		return fmt.Errorf("sweep: %s with %d processes × pool %d needs more than %d node slots",
+			w.Kind, n, w.pool(), maxSlots)
 	}
 	return nil
+}
+
+// slots returns the node slots the workload's pools hold for n
+// processes, 0 for kinds without a pool. A count past maxSlots may be
+// reported as any value past it.
+func (w Workload) slots(n int) int {
+	owners, extra, copies := n, 0, 1
+	switch w.Kind {
+	case Stack:
+	case Queue, WFUniversal: // the initial node
+		extra = 1
+	case RCU:
+		owners = n - rcuReaders(n)
+	case List: // head and tail sentinels
+		extra = 2
+	case HashSet: // one list per bucket
+		extra, copies = 2, hashBuckets
+	default:
+		return 0
+	}
+	if w.pool() > maxSlots/owners {
+		return maxSlots + 1
+	}
+	return copies * (owners*w.pool() + extra)
 }
 
 // pool returns the configured pool size or the kind's default, the
@@ -192,16 +243,13 @@ func (w Workload) build(n int) (built, error) {
 		procs, err := l.Processes(keyspace)
 		return built{mem: mem, procs: procs}, err
 	case HashSet:
-		const (
-			buckets  = 8
-			keyspace = 64
-		)
+		const keyspace = 64
 		pool := w.pool()
-		h, err := scu.NewHashSet(n, buckets, pool, 0)
+		h, err := scu.NewHashSet(n, hashBuckets, pool, 0)
 		if err != nil {
 			return built{}, err
 		}
-		mem, err := shmem.New(scu.HashSetLayout(n, buckets, pool))
+		mem, err := shmem.New(scu.HashSetLayout(n, hashBuckets, pool))
 		if err != nil {
 			return built{}, err
 		}
@@ -299,10 +347,15 @@ func (s SchedulerSpec) Validate(n int) error {
 		if s.Tickets != nil && len(s.Tickets) != n {
 			return fmt.Errorf("sweep: %d tickets for %d processes", len(s.Tickets), n)
 		}
+		total := 0
 		for i, t := range s.Tickets {
 			if t < 1 {
 				return fmt.Errorf("sweep: lottery ticket %d for process %d must be positive", t, i)
 			}
+			if t > maxTickets-total {
+				return fmt.Errorf("sweep: lottery tickets total more than %d", maxTickets)
+			}
+			total += t
 		}
 		return nil
 	case SchedWeighted:
