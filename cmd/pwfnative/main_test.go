@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -39,8 +40,8 @@ func TestRunScheduleTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(events) != 2*1000 {
-		t.Fatalf("got %d events, want %d", len(events), 2*1000)
+	if want := recordedSteps(t, buf.String(), 2*1000); len(events) != want {
+		t.Fatalf("got %d events, want %d", len(events), want)
 	}
 	for i, e := range events {
 		if e.Kind != obs.KindSched {
@@ -53,6 +54,26 @@ func TestRunScheduleTrace(t *testing.T) {
 			t.Fatalf("event %d: pid %d out of range", i, e.PID)
 		}
 	}
+}
+
+// recordedSteps returns the schedule length that run reports in its
+// "recorded N steps" line, checking 1 <= N <= max: RecordSchedule
+// trims the schedule to the window in which every worker is active, so
+// N may fall short of workers × ops.
+func recordedSteps(t *testing.T, out string, max int) int {
+	t.Helper()
+	_, line, ok := strings.Cut(out, "recorded ")
+	if !ok {
+		t.Fatalf("no recorded-steps line in:\n%s", out)
+	}
+	var n int
+	if _, err := fmt.Sscanf(line, "%d steps", &n); err != nil {
+		t.Fatalf("parse recorded-steps line %q: %v", line, err)
+	}
+	if n < 1 || n > max {
+		t.Fatalf("recorded %d steps, want 1..%d", n, max)
+	}
+	return n
 }
 
 // TestRunScheduleTraceBinary records the hardware schedule in trace
@@ -76,8 +97,8 @@ func TestRunScheduleTraceBinary(t *testing.T) {
 		if err != nil {
 			t.Fatalf("compress=%s: decode: %v", comp, err)
 		}
-		if len(events) != 2*1000 {
-			t.Fatalf("compress=%s: got %d events, want %d", comp, len(events), 2*1000)
+		if want := recordedSteps(t, buf.String(), 2*1000); len(events) != want {
+			t.Fatalf("compress=%s: got %d events, want %d", comp, len(events), want)
 		}
 		for i, e := range events {
 			if e.Kind != obs.KindSched || e.Step != uint64(i)+1 {

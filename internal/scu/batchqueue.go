@@ -55,7 +55,10 @@ func NewQueueBatch(k, n, poolSize int) (*QueueBatch, error) {
 	if poolSize < 1 {
 		return nil, fmt.Errorf("%w: poolSize=%d", ErrBadParams, poolSize)
 	}
-	slots := n*poolSize + 1 // +1: initial dummy
+	slots, err := poolSlots(n, poolSize, 1) // +1: initial dummy
+	if err != nil {
+		return nil, err
+	}
 	g := &QueueBatch{
 		k: k, n: n, poolSize: poolSize, slots: slots,
 		heads:      make([]int64, k),
@@ -72,7 +75,7 @@ func NewQueueBatch(k, n, poolSize int) (*QueueBatch, error) {
 		meta := g.meta[r*slots : (r+1)*slots]
 		meta[dummy].tag = 1
 		meta[dummy].live = true
-		ref := batchRef(meta, dummy)
+		ref := packRef(meta[dummy].tag, dummy)
 		g.heads[r] = ref
 		g.tails[r] = ref
 	}
@@ -119,7 +122,7 @@ func (g *QueueBatch) StepBatch(pids []int32, done []bool) {
 				c.slot = allocBatch(meta, pid*g.poolSize, g.poolSize)
 				if c.slot < 0 {
 					if g.errs[r] == nil {
-						g.errs[r] = fmt.Errorf("scu: queue node pool of process %d exhausted", pid)
+						g.errs[r] = poolExhausted(queuePool, pid)
 					}
 					c.pc = int8(queueStuck)
 					break
@@ -154,7 +157,7 @@ func (g *QueueBatch) StepBatch(pids []int32, done []bool) {
 			c.pc = int8(queueEnqReadTail)
 
 		case queueEnqCASNext:
-			ref := batchRef(meta, int(c.slot))
+			ref := packRef(meta[c.slot].tag, int(c.slot))
 			if target := &nodes[refSlot(c.tail)].next; *target == 0 {
 				*target = ref
 				// Linearization point of the enqueue.
@@ -167,7 +170,7 @@ func (g *QueueBatch) StepBatch(pids []int32, done []bool) {
 
 		case queueEnqSwingTail:
 			if g.tails[r] == c.tail {
-				g.tails[r] = batchRef(meta, int(c.slot))
+				g.tails[r] = packRef(meta[c.slot].tag, int(c.slot))
 			}
 			meta[c.slot].held--
 			c.slot = -1

@@ -63,7 +63,10 @@ func NewRCUBatch(k, n, readers, poolSize int) (*RCUBatch, error) {
 		return nil, fmt.Errorf("%w: readers=%d of n=%d (need 0 <= readers < n)",
 			ErrBadParams, readers, n)
 	}
-	slots := (n - readers) * poolSize
+	slots, err := poolSlots(n-readers, poolSize, 0)
+	if err != nil {
+		return nil, err
+	}
 	g := &RCUBatch{
 		k: k, n: n, poolSize: poolSize, readers: readers, slots: slots,
 		versions:   make([]int64, k),
@@ -148,7 +151,7 @@ func (g *RCUBatch) StepBatch(pids []int32, done []bool) {
 				c.slot = allocBatch(meta, updater*g.poolSize, g.poolSize)
 				if c.slot < 0 {
 					if g.errs[r] == nil {
-						g.errs[r] = fmt.Errorf("scu: rcu snapshot pool of updater %d exhausted", updater)
+						g.errs[r] = poolExhausted(rcuPool, updater)
 					}
 					c.pc = int8(rcuStuck)
 					break
@@ -166,7 +169,7 @@ func (g *RCUBatch) StepBatch(pids []int32, done []bool) {
 			c.pc = int8(rcuPublish)
 
 		case rcuPublish:
-			ref := batchRef(meta, int(c.slot))
+			ref := packRef(meta[c.slot].tag, int(c.slot))
 			if g.versions[r] == c.ver {
 				g.versions[r] = ref
 				// Linearization: publish the new snapshot.

@@ -22,7 +22,7 @@ type stackBatchCell struct {
 // struct-of-arrays form: per-replica top registers in a dense K-vector,
 // node registers and pool metadata in replica-major contiguous blocks,
 // and one 32-byte cell per (replica, process). The precise-GC
-// allocation scan uses the refcounted pool of batchpool.go instead of
+// allocation scan uses the refcounted pool of pool.go instead of
 // the scalar O(n) heldByAny walk; everything else transitions exactly
 // like StackProc.Step, including the quirks the allocator depends on
 // (a completed empty pop leaves the stale next reference in place, and
@@ -55,7 +55,10 @@ func NewStackBatch(k, n, poolSize int) (*StackBatch, error) {
 	if poolSize < 1 {
 		return nil, fmt.Errorf("%w: poolSize=%d", ErrBadParams, poolSize)
 	}
-	slots := n * poolSize
+	slots, err := poolSlots(n, poolSize, 0)
+	if err != nil {
+		return nil, err
+	}
 	g := &StackBatch{
 		k: k, n: n, poolSize: poolSize, slots: slots,
 		tops:       make([]int64, k),
@@ -109,7 +112,7 @@ func (g *StackBatch) StepBatch(pids []int32, done []bool) {
 				c.slot = allocBatch(meta, pid*g.poolSize, g.poolSize)
 				if c.slot < 0 {
 					if g.errs[r] == nil {
-						g.errs[r] = fmt.Errorf("scu: stack node pool of process %d exhausted", pid)
+						g.errs[r] = poolExhausted(stackPool, pid)
 					}
 					c.pc = int8(stackStuck)
 					break
@@ -129,7 +132,7 @@ func (g *StackBatch) StepBatch(pids []int32, done []bool) {
 			c.pc = int8(stackPushCAS)
 
 		case stackPushCAS:
-			ref := batchRef(meta, int(c.slot))
+			ref := packRef(meta[c.slot].tag, int(c.slot))
 			if g.tops[r] == c.top {
 				g.tops[r] = ref
 				// Linearization: push onto the shadow, mark live.

@@ -80,13 +80,5 @@ func NewFetchIncGroup(n, base int) ([]machine.Process, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("%w: n=%d", ErrBadParams, n)
 	}
-	procs := make([]machine.Process, n)
-	for pid := 0; pid < n; pid++ {
-		p, err := NewFetchInc(pid, base)
-		if err != nil {
-			return nil, err
-		}
-		procs[pid] = p
-	}
-	return procs, nil
+	return processes(n, func(pid int) (*FetchInc, error) { return NewFetchInc(pid, base) })
 }

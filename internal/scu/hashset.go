@@ -148,15 +148,7 @@ func (h *HashSet) Process(pid int, keyspace int64) (*HashSetProc, error) {
 
 // Processes builds all n workload processes.
 func (h *HashSet) Processes(keyspace int64) ([]machine.Process, error) {
-	procs := make([]machine.Process, h.n)
-	for pid := 0; pid < h.n; pid++ {
-		p, err := h.Process(pid, keyspace)
-		if err != nil {
-			return nil, err
-		}
-		procs[pid] = p
-	}
-	return procs, nil
+	return processes(h.n, func(pid int) (*HashSetProc, error) { return h.Process(pid, keyspace) })
 }
 
 // Ops returns the number of completed operations.

@@ -128,15 +128,7 @@ func (u *LFUniversal) Process(pid int, ops func(pid int, seq int64) int64) (*LFU
 // Processes builds all n processes sharing one operation stream
 // function.
 func (u *LFUniversal) Processes(ops func(pid int, seq int64) int64) ([]machine.Process, error) {
-	procs := make([]machine.Process, u.n)
-	for pid := 0; pid < u.n; pid++ {
-		p, err := u.Process(pid, ops)
-		if err != nil {
-			return nil, err
-		}
-		procs[pid] = p
-	}
-	return procs, nil
+	return processes(u.n, func(pid int) (*LFUniversalProc, error) { return u.Process(pid, ops) })
 }
 
 // Responses returns the responses of this process's committed

@@ -15,10 +15,10 @@ import (
 // access of the original algorithm — key reads, next reads, and the
 // three kinds of CAS — costs one simulated step.
 //
-// References pack a mark bit (bit 0), a slot (bits 1..20) and a reuse
-// tag, so the simulated CAS never suffers ABA; reclamation uses the
-// package's precise-GC rule (a slot is reused only when unreachable
-// and unreferenced), mirroring the GC the real algorithm assumes.
+// Nodes live in the package's node slab (pool.go). A list reference is
+// a slab reference shifted up by one for the mark bit (bit 0), so the
+// simulated CAS never suffers ABA; reclamation uses the slab's
+// precise-GC rule, mirroring the GC the real algorithm assumes.
 //
 // Correctness instrumentation (no simulated steps):
 //   - a shadow set updated at each linearization point (insert's link
@@ -28,12 +28,9 @@ import (
 //     linearization point is internal to the search);
 //   - Audit walks the real list and compares it with the shadow.
 type List struct {
-	base     int
-	n        int
-	poolSize int
-
-	live  []bool
-	tags  []int64
+	nodePool
+	base  int
+	n     int
 	procs []*ListProc
 
 	shadow     map[int64]bool
@@ -42,7 +39,6 @@ type List struct {
 	inserts    uint64
 	deletes    uint64
 	contains   uint64
-	err        error
 
 	initialized bool
 }
@@ -67,13 +63,14 @@ func NewList(n, poolSize, base int) (*List, error) {
 	if base < 0 {
 		return nil, fmt.Errorf("%w: base %d", ErrBadParams, base)
 	}
-	slots := n*poolSize + 2 // + head and tail sentinels
+	pool, err := newNodePool("list node pool of process", n, poolSize, 2) // + head and tail sentinels
+	if err != nil {
+		return nil, err
+	}
 	return &List{
+		nodePool: pool,
 		base:     base,
 		n:        n,
-		poolSize: poolSize,
-		live:     make([]bool, slots),
-		tags:     make([]int64, slots),
 		shadow:   make(map[int64]bool),
 		presence: make(map[int64][]interval),
 	}, nil
@@ -89,10 +86,11 @@ func (l *List) tailSlot() int { return l.n*l.poolSize + 1 }
 func (l *List) keyReg(slot int) int  { return l.base + 2*slot }
 func (l *List) nextReg(slot int) int { return l.base + 2*slot + 1 }
 
-// Reference encoding: tag<<(slotBits+1) | (slot+1)<<1 | mark.
-func (l *List) ref(slot int) int64 { return l.tags[slot]<<(slotBits+1) | int64(slot+1)<<1 }
+// nodeRef returns the unmarked list reference to slot: the slab
+// reference shifted up past the mark bit.
+func (l *List) nodeRef(slot int) int64 { return l.ref(slot) << 1 }
 
-func listSlot(ref int64) int    { return int((ref>>1)&MaxSlots) - 1 }
+func listSlot(ref int64) int    { return refSlot(ref >> 1) }
 func listMarked(ref int64) bool { return ref&1 == 1 }
 func listMark(ref int64) int64  { return ref | 1 }
 func listClean(ref int64) int64 { return ref &^ 1 }
@@ -100,11 +98,11 @@ func listClean(ref int64) int64 { return ref &^ 1 }
 // Init installs the sentinels: head(-inf) -> tail(+inf).
 func (l *List) Init(mem *shmem.Memory) {
 	head, tail := l.headSlot(), l.tailSlot()
-	l.tags[head], l.tags[tail] = 1, 1
-	l.live[head], l.live[tail] = true, true
+	l.install(head)
+	l.install(tail)
 	mem.Poke(l.keyReg(head), math.MinInt64)
 	mem.Poke(l.keyReg(tail), math.MaxInt64)
-	mem.Poke(l.nextReg(head), l.ref(tail))
+	mem.Poke(l.nextReg(head), l.nodeRef(tail))
 	l.initialized = true
 }
 
@@ -123,21 +121,6 @@ func (l *List) Err() error { return l.err }
 
 // Size returns the shadow set's cardinality.
 func (l *List) Size() int { return len(l.shadow) }
-
-func (l *List) allocate(pid int) int {
-	lo := pid * l.poolSize
-	for k := 0; k < l.poolSize; k++ {
-		slot := lo + k
-		if !l.live[slot] && !l.heldByAny(slot) {
-			l.tags[slot]++
-			return slot
-		}
-	}
-	if l.err == nil {
-		l.err = fmt.Errorf("scu: list node pool of process %d exhausted", pid)
-	}
-	return -1
-}
 
 func (l *List) heldByAny(slot int) bool {
 	for _, p := range l.procs {

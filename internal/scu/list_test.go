@@ -49,7 +49,7 @@ func TestListRefEncoding(t *testing.T) {
 	l, _ := newList(t, 2, 4)
 	for slot := 0; slot < 4; slot++ {
 		l.tags[slot] = int64(slot*7 + 1)
-		ref := l.ref(slot)
+		ref := l.nodeRef(slot)
 		if listSlot(ref) != slot {
 			t.Fatalf("slot round-trip failed for %d", slot)
 		}

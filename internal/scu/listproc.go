@@ -97,15 +97,7 @@ func (l *List) Process(pid int, keyspace int64) (*ListProc, error) {
 
 // Processes builds all n workload processes with a shared keyspace.
 func (l *List) Processes(keyspace int64) ([]machine.Process, error) {
-	procs := make([]machine.Process, l.n)
-	for pid := 0; pid < l.n; pid++ {
-		p, err := l.Process(pid, keyspace)
-		if err != nil {
-			return nil, err
-		}
-		procs[pid] = p
-	}
-	return procs, nil
+	return processes(l.n, func(pid int) (*ListProc, error) { return l.Process(pid, keyspace) })
 }
 
 // Results returns the boolean outcomes of this process's completed
@@ -201,7 +193,7 @@ func (p *ListProc) Step(mem *shmem.Memory) bool {
 	}
 	switch p.phase {
 	case lsSearchStart:
-		head := p.l.ref(p.l.headSlot())
+		head := p.l.nodeRef(p.l.headSlot())
 		p.t = head
 		p.tNext = mem.Read(p.l.nextReg(p.l.headSlot()))
 		p.left, p.leftNext = head, p.tNext
@@ -248,7 +240,7 @@ func (p *ListProc) Step(mem *shmem.Memory) bool {
 
 	case lsInsertWriteKey:
 		if p.slot < 0 {
-			p.slot = p.l.allocate(p.pid)
+			p.slot = p.l.allocate(p.pid, p.l.heldByAny)
 			if p.slot < 0 {
 				p.phase = lsStuck
 				return false
@@ -265,7 +257,7 @@ func (p *ListProc) Step(mem *shmem.Memory) bool {
 		return false
 
 	case lsInsertCAS:
-		newRef := p.l.ref(p.slot)
+		newRef := p.l.nodeRef(p.slot)
 		if mem.CAS(p.l.nextReg(listSlot(listClean(p.left))), p.right, newRef) {
 			p.l.onInsert(p.key, newRef, mem.Steps())
 			p.slot = -1

@@ -8,10 +8,9 @@ import (
 )
 
 // Queue is a Michael–Scott lock-free queue [17] on simulated shared
-// memory, with the helping step (swinging a lagging tail) intact. As
-// with Stack, node references are tagged with per-slot reuse counters
-// so the simulated CAS never sees ABA, and reclamation is modelled as
-// garbage collection (Go-side liveness, no simulated steps).
+// memory, with the helping step (swinging a lagging tail) intact. Its
+// nodes live in the package's node slab (pool.go): tagged references
+// keep the simulated CAS free of ABA, and reclamation is precise GC.
 //
 // A shadow FIFO updated at linearization points checks every dequeue;
 // tests assert Violations() == 0.
@@ -19,12 +18,9 @@ import (
 // Register layout from base: head, tail, then two registers (value,
 // next) per node slot, plus one extra slot for the initial dummy node.
 type Queue struct {
-	base     int
-	n        int
-	poolSize int
-
-	live  []bool
-	tags  []int64
+	nodePool
+	base  int
+	n     int
 	procs []*QueueProc
 
 	shadow     []int64 // refs in FIFO order
@@ -32,7 +28,6 @@ type Queue struct {
 	enqueues   uint64
 	dequeues   uint64
 	emptyDeqs  uint64
-	err        error
 
 	initialized bool
 }
@@ -47,15 +42,15 @@ func NewQueue(n, poolSize, base int) (*Queue, error) {
 	if base < 0 {
 		return nil, fmt.Errorf("%w: base %d", ErrBadParams, base)
 	}
-	slots := n*poolSize + 1 // +1: initial dummy
-	return &Queue{
-		base:     base,
-		n:        n,
-		poolSize: poolSize,
-		live:     make([]bool, slots),
-		tags:     make([]int64, slots),
-	}, nil
+	pool, err := newNodePool(queuePool, n, poolSize, 1) // +1: initial dummy
+	if err != nil {
+		return nil, err
+	}
+	return &Queue{nodePool: pool, base: base, n: n}, nil
 }
+
+// queuePool names the queue's pools in the exhaustion error.
+const queuePool = "queue node pool of process"
 
 // QueueLayout returns the register footprint: head + tail + 2 per slot
 // (n*poolSize process slots plus the initial dummy).
@@ -64,10 +59,7 @@ func QueueLayout(n, poolSize int) int { return 2 + 2*(n*poolSize+1) }
 // Init installs the initial dummy node; head = tail = dummy. It uses
 // Poke (setup, not simulation steps).
 func (q *Queue) Init(mem *shmem.Memory) {
-	dummy := q.dummySlot()
-	q.tags[dummy] = 1
-	q.live[dummy] = true
-	ref := q.ref(dummy)
+	ref := q.install(q.dummySlot())
 	mem.Poke(q.headReg(), ref)
 	mem.Poke(q.tailReg(), ref)
 	q.initialized = true
@@ -78,8 +70,6 @@ func (q *Queue) headReg() int          { return q.base }
 func (q *Queue) tailReg() int          { return q.base + 1 }
 func (q *Queue) valueReg(slot int) int { return q.base + 2 + 2*slot }
 func (q *Queue) nextReg(slot int) int  { return q.base + 3 + 2*slot }
-
-func (q *Queue) ref(slot int) int64 { return q.tags[slot]<<slotBits | int64(slot+1) }
 
 // Err reports the first structural error (pool exhaustion or missing
 // Init), if any.
@@ -101,26 +91,6 @@ func (q *Queue) Length() int { return len(q.shadow) }
 func (q *Queue) Enqueues() uint64      { return q.enqueues }
 func (q *Queue) Dequeues() uint64      { return q.dequeues }
 func (q *Queue) EmptyDequeues() uint64 { return q.emptyDeqs }
-
-// allocate returns a free slot from pid's pool, applying the same
-// precise-GC rule as Stack.allocate: a slot is reusable only when it
-// is neither reachable from the queue nor referenced by any process's
-// local variables. The tail register itself is treated as a root (the
-// retired dummy may still be the tail target briefly).
-func (q *Queue) allocate(pid int) int {
-	lo := pid * q.poolSize
-	for k := 0; k < q.poolSize; k++ {
-		slot := lo + k
-		if !q.live[slot] && !q.heldByAny(slot) {
-			q.tags[slot]++
-			return slot
-		}
-	}
-	if q.err == nil {
-		q.err = fmt.Errorf("scu: queue node pool of process %d exhausted", pid)
-	}
-	return -1
-}
 
 // heldByAny reports whether any registered process holds a local
 // reference to slot.
@@ -219,17 +189,7 @@ func (p *QueueProc) holds(slot int) bool {
 }
 
 // Processes builds all n workload processes.
-func (q *Queue) Processes() ([]machine.Process, error) {
-	procs := make([]machine.Process, q.n)
-	for pid := 0; pid < q.n; pid++ {
-		p, err := q.Process(pid)
-		if err != nil {
-			return nil, err
-		}
-		procs[pid] = p
-	}
-	return procs, nil
-}
+func (q *Queue) Processes() ([]machine.Process, error) { return processes(q.n, q.Process) }
 
 // Dequeued returns the values this process's dequeues returned, in
 // order (0 entries for empty dequeues).
@@ -251,7 +211,7 @@ func (p *QueueProc) Step(mem *shmem.Memory) bool {
 	switch p.phase {
 	case queueEnqWriteValue:
 		if p.slot < 0 {
-			p.slot = p.q.allocate(p.pid)
+			p.slot = p.q.allocate(p.pid, p.q.heldByAny)
 			if p.slot < 0 {
 				p.phase = queueStuck
 				return false

@@ -15,32 +15,27 @@ import (
 // s = 1. Readers are wait-free: read V, then read the snapshot it
 // points to; they never retry and never interfere with updaters.
 //
-// Snapshots live in per-updater slots. As elsewhere in this package,
-// reclamation models a garbage collector: a slot is reused only when
-// it is not the current version and no process still holds a
-// reference — which is exactly the grace-period guarantee real RCU
-// implementations provide.
+// Snapshots live in the package's node slab (pool.go), one pool per
+// updater. Its precise-GC rule reuses a slot only when it is not the
+// current version and no process still holds a reference — which is
+// exactly the grace-period guarantee real RCU implementations provide.
 //
 // A Go-side shadow maps each published version to the snapshot value
 // the updater wrote; every reader checks its snapshot against the
 // shadow, so a torn or stale read would be detected immediately
 // (tests assert Violations() == 0).
 type RCU struct {
-	base     int
-	n        int
-	poolSize int
-	readers  int // processes 0..readers-1 read; the rest update
-
-	live  []bool
-	tags  []int64
-	procs []*RCUProc
+	nodePool
+	base    int
+	n       int
+	readers int // processes 0..readers-1 read; the rest update
+	procs   []*RCUProc
 
 	expect     map[int64]int64 // version ref -> snapshot value
 	currentRef int64
 	reads      uint64
 	writes     uint64
 	violations int
-	err        error
 }
 
 // NewRCU builds an RCU cell for n processes, of which the first
@@ -59,18 +54,21 @@ func NewRCU(n, readers, poolSize, base int) (*RCU, error) {
 	if base < 0 {
 		return nil, fmt.Errorf("%w: base %d", ErrBadParams, base)
 	}
-	updaters := n - readers
-	slots := updaters * poolSize
+	pool, err := newNodePool(rcuPool, n-readers, poolSize, 0)
+	if err != nil {
+		return nil, err
+	}
 	return &RCU{
+		nodePool: pool,
 		base:     base,
 		n:        n,
-		poolSize: poolSize,
 		readers:  readers,
-		live:     make([]bool, slots),
-		tags:     make([]int64, slots),
-		expect:   make(map[int64]int64, slots),
+		expect:   make(map[int64]int64, len(pool.live)),
 	}, nil
 }
+
+// rcuPool names the updaters' pools in the exhaustion error.
+const rcuPool = "rcu snapshot pool of updater"
 
 // RCULayout returns the register footprint: the version register plus
 // one snapshot register per slot.
@@ -78,7 +76,6 @@ func RCULayout(updaters, poolSize int) int { return 1 + updaters*poolSize }
 
 func (r *RCU) versionReg() int          { return r.base }
 func (r *RCU) snapshotReg(slot int) int { return r.base + 1 + slot }
-func (r *RCU) ref(slot int) int64       { return r.tags[slot]<<slotBits | int64(slot+1) }
 
 // Violations returns the number of reads that observed a snapshot
 // inconsistent with the version they followed.
@@ -96,24 +93,15 @@ func (r *RCU) Err() error { return r.err }
 // CheckReplica reports for the same run.
 func (r *RCU) Check() error { return rcuCheck(r.violations, r.err) }
 
+// allocate takes a snapshot slot from the updater's pool and retires
+// the slot's previous incarnation from the shadow, so the map stays
+// bounded.
 func (r *RCU) allocate(updater int) int {
-	lo := updater * r.poolSize
-	for k := 0; k < r.poolSize; k++ {
-		slot := lo + k
-		if !r.live[slot] && !r.heldByAny(slot) {
-			// Retire the slot's previous incarnation from the shadow
-			// before reusing it, so the map stays bounded.
-			if r.tags[slot] > 0 {
-				delete(r.expect, r.ref(slot))
-			}
-			r.tags[slot]++
-			return slot
-		}
+	slot := r.nodePool.allocate(updater, r.heldByAny)
+	if slot >= 0 && r.tags[slot] > 1 {
+		delete(r.expect, packRef(r.tags[slot]-1, slot))
 	}
-	if r.err == nil {
-		r.err = fmt.Errorf("scu: rcu snapshot pool of updater %d exhausted", updater)
-	}
-	return -1
+	return slot
 }
 
 func (r *RCU) heldByAny(slot int) bool {
@@ -192,17 +180,7 @@ func (r *RCU) Process(pid int) (*RCUProc, error) {
 }
 
 // Processes builds all n workload processes.
-func (r *RCU) Processes() ([]machine.Process, error) {
-	procs := make([]machine.Process, r.n)
-	for pid := 0; pid < r.n; pid++ {
-		p, err := r.Process(pid)
-		if err != nil {
-			return nil, err
-		}
-		procs[pid] = p
-	}
-	return procs, nil
-}
+func (r *RCU) Processes() ([]machine.Process, error) { return processes(r.n, r.Process) }
 
 // Reader reports whether the process is a reader.
 func (p *RCUProc) Reader() bool { return p.pid < p.r.readers }

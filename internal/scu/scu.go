@@ -51,6 +51,20 @@ func proposal(pid int, seq int64) int64 {
 	return (int64(pid+1) << 32) | (seq & 0xffffffff)
 }
 
+// processes builds the n processes of a group, the pid-th by mk(pid),
+// stopping at the first construction error.
+func processes[P machine.Process](n int, mk func(pid int) (P, error)) ([]machine.Process, error) {
+	procs := make([]machine.Process, n)
+	for pid := range procs {
+		p, err := mk(pid)
+		if err != nil {
+			return nil, err
+		}
+		procs[pid] = p
+	}
+	return procs, nil
+}
+
 // scuPhase tracks where an SCU process is inside Algorithm 2.
 type scuPhase int
 
@@ -178,15 +192,7 @@ func NewSCUGroup(n, q, s, base int) ([]machine.Process, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("%w: n=%d", ErrBadParams, n)
 	}
-	procs := make([]machine.Process, n)
-	for pid := 0; pid < n; pid++ {
-		p, err := NewSCU(pid, q, s, base)
-		if err != nil {
-			return nil, err
-		}
-		procs[pid] = p
-	}
-	return procs, nil
+	return processes(n, func(pid int) (*SCU, error) { return NewSCU(pid, q, s, base) })
 }
 
 // Parallel is one process executing Algorithm 4: a method call that
@@ -230,13 +236,5 @@ func NewParallelGroup(n, q, reg int) ([]machine.Process, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("%w: n=%d", ErrBadParams, n)
 	}
-	procs := make([]machine.Process, n)
-	for pid := 0; pid < n; pid++ {
-		p, err := NewParallel(q, reg)
-		if err != nil {
-			return nil, err
-		}
-		procs[pid] = p
-	}
-	return procs, nil
+	return processes(n, func(pid int) (*Parallel, error) { return NewParallel(q, reg) })
 }

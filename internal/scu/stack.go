@@ -13,26 +13,17 @@ import (
 // loops {read top; read top.next; CAS top} and then reads the popped
 // value.
 //
-// Nodes live in a register slab, partitioned into per-process pools.
-// References stored in registers are tagged with a per-slot reuse
-// counter, so a reference value never repeats and the simulated CAS
-// is immune to ABA. Node reclamation is modelled as garbage
-// collection: liveness bookkeeping is Go-side instrumentation that
-// costs no simulated steps (mirroring how the paper's native
-// experiments rely on the runtime allocator, whose cost is not a
-// shared-memory step).
+// Nodes live in a register slab of per-process pools, with tagged
+// references and precise-GC reclamation (pool.go).
 //
 // The Stack also maintains a *shadow stack* updated at each
 // linearization point (successful CAS). Every pop is checked against
 // the shadow top, so any atomicity violation in the simulation would
 // be caught immediately; tests assert Violations() == 0.
 type Stack struct {
-	base     int // top register
-	n        int
-	poolSize int
-
-	live  []bool  // per-slot: node currently reachable from top
-	tags  []int64 // per-slot reuse counter
+	nodePool
+	base  int // top register
+	n     int
 	procs []*StackProc
 
 	shadow     []int64 // refs in stack order, bottom to top
@@ -40,7 +31,6 @@ type Stack struct {
 	pushes     uint64
 	pops       uint64
 	emptyPops  uint64
-	err        error
 }
 
 // NewStack builds a Treiber stack for n processes with poolSize node
@@ -53,58 +43,23 @@ func NewStack(n, poolSize, base int) (*Stack, error) {
 	if base < 0 {
 		return nil, fmt.Errorf("%w: base %d", ErrBadParams, base)
 	}
-	slots := n * poolSize
-	return &Stack{
-		base:     base,
-		n:        n,
-		poolSize: poolSize,
-		live:     make([]bool, slots),
-		tags:     make([]int64, slots),
-	}, nil
+	pool, err := newNodePool(stackPool, n, poolSize, 0)
+	if err != nil {
+		return nil, err
+	}
+	return &Stack{nodePool: pool, base: base, n: n}, nil
 }
+
+// stackPool names the stack's pools in the exhaustion error.
+const stackPool = "stack node pool of process"
 
 // StackLayout returns the number of registers a Stack for n processes
 // with poolSize slots per process occupies: one top register plus two
 // registers (value, next) per node slot.
 func StackLayout(n, poolSize int) int { return 1 + 2*n*poolSize }
 
-// Every node reference in this package keeps slot+1 in its low
-// slotBits bits (above the List's mark bit), so one pool addresses at
-// most MaxSlots slots; a larger pool would alias slots.
-const (
-	slotBits = 20
-	MaxSlots = 1<<slotBits - 1
-)
-
-// ref packs a slot index and its reuse tag into a register value;
-// slot+1 keeps 0 as the null reference.
-func (st *Stack) ref(slot int) int64 { return st.tags[slot]<<slotBits | int64(slot+1) }
-
-func refSlot(ref int64) int { return int(ref&MaxSlots) - 1 }
-
 func (st *Stack) valueReg(slot int) int { return st.base + 1 + 2*slot }
 func (st *Stack) nextReg(slot int) int  { return st.base + 2 + 2*slot }
-
-// allocate returns a free slot from pid's pool, or -1 when the pool is
-// exhausted (recorded in Err). A slot is free only when it is neither
-// reachable from the stack top nor referenced by any process's local
-// variables — precise garbage collection, matching the paper's native
-// setting where the runtime GC reclaims nodes. This makes node reuse
-// race-free without hazard pointers.
-func (st *Stack) allocate(pid int) int {
-	lo := pid * st.poolSize
-	for k := 0; k < st.poolSize; k++ {
-		slot := lo + k
-		if !st.live[slot] && !st.heldByAny(slot) {
-			st.tags[slot]++
-			return slot
-		}
-	}
-	if st.err == nil {
-		st.err = fmt.Errorf("scu: stack node pool of process %d exhausted", pid)
-	}
-	return -1
-}
 
 // heldByAny reports whether any registered process currently holds a
 // local reference to slot.
@@ -215,17 +170,7 @@ func (p *StackProc) holds(slot int) bool {
 }
 
 // Processes builds all n workload processes.
-func (st *Stack) Processes() ([]machine.Process, error) {
-	procs := make([]machine.Process, st.n)
-	for pid := 0; pid < st.n; pid++ {
-		p, err := st.Process(pid)
-		if err != nil {
-			return nil, err
-		}
-		procs[pid] = p
-	}
-	return procs, nil
-}
+func (st *Stack) Processes() ([]machine.Process, error) { return processes(st.n, st.Process) }
 
 // Popped returns the values this process's pops returned, in order
 // (0 entries for empty pops).
@@ -240,7 +185,7 @@ func (p *StackProc) Step(mem *shmem.Memory) bool {
 	switch p.phase {
 	case stackPushWriteValue:
 		if p.slot < 0 {
-			p.slot = p.st.allocate(p.pid)
+			p.slot = p.st.allocate(p.pid, p.st.heldByAny)
 			if p.slot < 0 {
 				p.phase = stackStuck
 				return false

@@ -80,13 +80,5 @@ func NewUnboundedGroup(n, base int, waitFactor int64) ([]machine.Process, error)
 	if waitFactor == 0 {
 		waitFactor = int64(n) * int64(n)
 	}
-	procs := make([]machine.Process, n)
-	for pid := 0; pid < n; pid++ {
-		p, err := NewUnbounded(pid, base, waitFactor)
-		if err != nil {
-			return nil, err
-		}
-		procs[pid] = p
-	}
-	return procs, nil
+	return processes(n, func(pid int) (*Unbounded, error) { return NewUnbounded(pid, base, waitFactor) })
 }

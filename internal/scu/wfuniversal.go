@@ -32,17 +32,15 @@ import (
 //	base+1+n .. base+2n          announceSeq[p]
 //	base+1+2n ...                node slab; node = state + appliedSeq[n] + resp[n]
 //
-// Nodes are reclaimed with the same precise-GC rule as Stack/Queue.
+// Nodes live in the package's node slab (pool.go) and are reclaimed
+// by its precise-GC rule.
 // A Go-side shadow replays every committed batch on the sequential
 // Object, checking state, responses, and exactly-once application.
 type WFUniversal struct {
-	obj      Object
-	base     int
-	n        int
-	poolSize int
-
-	live  []bool
-	tags  []int64
+	nodePool
+	obj   Object
+	base  int
+	n     int
 	procs []*WFUniversalProc
 
 	state       int64   // shadow sequential state
@@ -52,7 +50,6 @@ type WFUniversal struct {
 	ops         uint64
 	installs    uint64
 	violations  int
-	err         error
 	initialized bool
 }
 
@@ -69,14 +66,15 @@ func NewWFUniversal(obj Object, n, poolSize, base int) (*WFUniversal, error) {
 	if base < 0 {
 		return nil, fmt.Errorf("%w: base %d", ErrBadParams, base)
 	}
-	slots := n*poolSize + 1 // +1 for the initial node
+	pool, err := newNodePool("wf-universal node pool of process", n, poolSize, 1) // +1 for the initial node
+	if err != nil {
+		return nil, err
+	}
 	return &WFUniversal{
+		nodePool:   pool,
 		obj:        obj,
 		base:       base,
 		n:          n,
-		poolSize:   poolSize,
-		live:       make([]bool, slots),
-		tags:       make([]int64, slots),
 		shadowResp: make([]int64, n),
 		shadowSeq:  make([]int64, n),
 	}, nil
@@ -102,16 +100,12 @@ func (u *WFUniversal) nodeBase(slot int) int {
 func (u *WFUniversal) stateReg(slot int) int      { return u.nodeBase(slot) }
 func (u *WFUniversal) appliedReg(slot, q int) int { return u.nodeBase(slot) + 1 + q }
 func (u *WFUniversal) respReg(slot, q int) int    { return u.nodeBase(slot) + 1 + u.n + q }
-func (u *WFUniversal) ref(slot int) int64         { return u.tags[slot]<<slotBits | int64(slot+1) }
 func (u *WFUniversal) initialSlot() int           { return u.n * u.poolSize }
 
 // Init installs the initial node (state 0, nothing applied) and
 // points the root at it. Setup only; no simulated steps.
 func (u *WFUniversal) Init(mem *shmem.Memory) {
-	slot := u.initialSlot()
-	u.tags[slot] = 1
-	u.live[slot] = true
-	ref := u.ref(slot)
+	ref := u.install(u.initialSlot())
 	mem.Poke(u.rootReg(), ref)
 	u.currentRef = ref
 	u.initialized = true
@@ -131,21 +125,6 @@ func (u *WFUniversal) State() int64 { return u.state }
 
 // Err reports pool exhaustion.
 func (u *WFUniversal) Err() error { return u.err }
-
-func (u *WFUniversal) allocate(pid int) int {
-	lo := pid * u.poolSize
-	for k := 0; k < u.poolSize; k++ {
-		slot := lo + k
-		if !u.live[slot] && !u.heldByAny(slot) {
-			u.tags[slot]++
-			return slot
-		}
-	}
-	if u.err == nil {
-		u.err = fmt.Errorf("scu: wf-universal node pool of process %d exhausted", pid)
-	}
-	return -1
-}
 
 func (u *WFUniversal) heldByAny(slot int) bool {
 	for _, p := range u.procs {
@@ -266,15 +245,7 @@ func (u *WFUniversal) Process(pid int, ops func(pid int, seq int64) int64) (*WFU
 
 // Processes builds all n processes sharing one operation stream.
 func (u *WFUniversal) Processes(ops func(pid int, seq int64) int64) ([]machine.Process, error) {
-	procs := make([]machine.Process, u.n)
-	for pid := 0; pid < u.n; pid++ {
-		p, err := u.Process(pid, ops)
-		if err != nil {
-			return nil, err
-		}
-		procs[pid] = p
-	}
-	return procs, nil
+	return processes(u.n, func(pid int) (*WFUniversalProc, error) { return u.Process(pid, ops) })
 }
 
 // Responses returns this process's operation responses in order.
@@ -412,7 +383,7 @@ func (p *WFUniversalProc) Step(mem *shmem.Memory) bool {
 
 	case wfWriteState:
 		if p.slot < 0 {
-			p.slot = p.u.allocate(p.pid)
+			p.slot = p.u.allocate(p.pid, p.u.heldByAny)
 			if p.slot < 0 {
 				p.phase = wfStuck
 				return false

@@ -36,7 +36,7 @@ var batchForms = map[WorkloadKind]func(w Workload, k, n int) (machine.BatchGroup
 		return scu.NewRCUBatch(k, n, rcuReaders(n), w.pool())
 	},
 	LFUniversal: func(w Workload, k, n int) (machine.BatchGroup, error) {
-		return scu.NewLFUniversalBatch(scu.CounterObject{}, k, n, func(pid int, seq int64) int64 { return 1 })
+		return scu.NewLFUniversalBatch(scu.CounterObject{}, k, n, incrementBy1)
 	},
 }
 

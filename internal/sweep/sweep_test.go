@@ -1,11 +1,14 @@
 package sweep
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
+
+	"pwf/internal/scu"
 )
 
 // testGrid is a mixed-family grid exercising every determinism-relevant
@@ -241,20 +244,42 @@ func TestSweepValidation(t *testing.T) {
 	}
 	// Pools of exactly maxSlots slots validate and run: their last
 	// slot (the queue's dummy, the list's tail sentinel) still has a
-	// node reference.
-	for _, edge := range []Job{
-		{Workload: Workload{Kind: Stack, PoolSize: maxSlots}, N: 1},
-		{Workload: Workload{Kind: Queue, PoolSize: (maxSlots - 1) / 2}, N: 2},
-		{Workload: Workload{Kind: WFUniversal, PoolSize: (maxSlots - 1) / 2}, N: 2},
-		{Workload: Workload{Kind: List, PoolSize: maxSlots - 2}, N: 1},
-		{Workload: Workload{Kind: RCU, PoolSize: maxSlots}, N: 3}, // one writer
+	// node reference. One slot more fails the scu constructors, scalar
+	// and batched, with scu.ErrBadParams, so Workload.slots cannot
+	// drift from the constructors' own bound.
+	for _, c := range []struct {
+		edge Job
+		past Job // the same kind holding maxSlots + 1 slots
+	}{
+		{Job{Workload: Workload{Kind: Stack, PoolSize: maxSlots}, N: 1},
+			Job{Workload: Workload{Kind: Stack, PoolSize: maxSlots + 1}, N: 1}},
+		{Job{Workload: Workload{Kind: Queue, PoolSize: (maxSlots - 1) / 2}, N: 2},
+			Job{Workload: Workload{Kind: Queue, PoolSize: 349525}, N: 3}},
+		{Job{Workload: Workload{Kind: WFUniversal, PoolSize: (maxSlots - 1) / 2}, N: 2},
+			Job{Workload: Workload{Kind: WFUniversal, PoolSize: 349525}, N: 3}},
+		{Job{Workload: Workload{Kind: List, PoolSize: maxSlots - 2}, N: 1},
+			Job{Workload: Workload{Kind: List, PoolSize: maxSlots - 1}, N: 1}},
+		{Job{Workload: Workload{Kind: RCU, PoolSize: maxSlots}, N: 3}, // one writer
+			Job{Workload: Workload{Kind: RCU, PoolSize: maxSlots + 1}, N: 3}},
 	} {
+		edge, past := c.edge, c.past
 		edge.Steps = 2000
 		if got := edge.Workload.slots(edge.N); got != maxSlots {
 			t.Errorf("%s edge case holds %d slots, want %d", edge.Workload.Kind, got, maxSlots)
 		}
 		if _, err := RunJob(edge, 1, nil); err != nil {
 			t.Errorf("%s with %d slots: %v", edge.Workload.Kind, maxSlots, err)
+		}
+		if got := past.Workload.slots(past.N); got != maxSlots+1 {
+			t.Errorf("%s past case holds %d slots, want %d", past.Workload.Kind, got, maxSlots+1)
+		}
+		if _, err := past.Workload.build(past.N); !errors.Is(err, scu.ErrBadParams) {
+			t.Errorf("%s build with %d slots: got %v, want scu.ErrBadParams", past.Workload.Kind, maxSlots+1, err)
+		}
+		if form := batchForms[past.Workload.Kind]; form != nil {
+			if _, err := form(past.Workload, 1, past.N); !errors.Is(err, scu.ErrBadParams) {
+				t.Errorf("%s batch form with %d slots: got %v, want scu.ErrBadParams", past.Workload.Kind, maxSlots+1, err)
+			}
 		}
 	}
 	if _, err := Run(Config{Seed: 1}); err == nil {

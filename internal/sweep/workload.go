@@ -159,131 +159,87 @@ type built struct {
 	check func() error
 }
 
-// build assembles the workload for n processes.
+// build assembles the workload for n processes: it constructs the
+// kind's shared structure, allocates its registers with one shmem.New,
+// installs the structure's initial nodes, and builds the process
+// group.
 func (w Workload) build(n int) (built, error) {
+	var (
+		layout int
+		init   func(*shmem.Memory)
+		group  func() ([]machine.Process, error)
+		check  func() error
+		err    error
+	)
+	pool := w.pool()
 	switch w.Kind {
 	case SCU:
-		mem, err := shmem.New(scu.SCULayout(w.S))
-		if err != nil {
-			return built{}, err
-		}
-		procs, err := scu.NewSCUGroup(n, w.Q, w.S, 0)
-		return built{mem: mem, procs: procs}, err
+		layout = scu.SCULayout(w.S)
+		group = func() ([]machine.Process, error) { return scu.NewSCUGroup(n, w.Q, w.S, 0) }
 	case Parallel:
-		mem, err := shmem.New(1)
-		if err != nil {
-			return built{}, err
-		}
-		procs, err := scu.NewParallelGroup(n, w.Q, 0)
-		return built{mem: mem, procs: procs}, err
+		layout = 1
+		group = func() ([]machine.Process, error) { return scu.NewParallelGroup(n, w.Q, 0) }
 	case FetchInc:
-		mem, err := shmem.New(scu.FetchIncLayout)
-		if err != nil {
-			return built{}, err
-		}
-		procs, err := scu.NewFetchIncGroup(n, 0)
-		return built{mem: mem, procs: procs}, err
+		layout = scu.FetchIncLayout
+		group = func() ([]machine.Process, error) { return scu.NewFetchIncGroup(n, 0) }
 	case Unbounded:
-		mem, err := shmem.New(scu.UnboundedLayout)
-		if err != nil {
-			return built{}, err
-		}
-		procs, err := scu.NewUnboundedGroup(n, 0, w.WaitFactor)
-		return built{mem: mem, procs: procs}, err
+		layout = scu.UnboundedLayout
+		group = func() ([]machine.Process, error) { return scu.NewUnboundedGroup(n, 0, w.WaitFactor) }
 	case Stack:
-		pool := w.pool()
-		st, err := scu.NewStack(n, pool, 0)
-		if err != nil {
-			return built{}, err
-		}
-		mem, err := shmem.New(scu.StackLayout(n, pool))
-		if err != nil {
-			return built{}, err
-		}
-		procs, err := st.Processes()
-		return built{mem: mem, procs: procs, check: st.Check}, err
+		var st *scu.Stack
+		st, err = scu.NewStack(n, pool, 0)
+		layout, group, check = scu.StackLayout(n, pool), st.Processes, st.Check
 	case Queue:
-		pool := w.pool()
-		qu, err := scu.NewQueue(n, pool, 0)
-		if err != nil {
-			return built{}, err
-		}
-		mem, err := shmem.New(scu.QueueLayout(n, pool))
-		if err != nil {
-			return built{}, err
-		}
-		qu.Init(mem)
-		procs, err := qu.Processes()
-		return built{mem: mem, procs: procs, check: qu.Check}, err
+		var qu *scu.Queue
+		qu, err = scu.NewQueue(n, pool, 0)
+		layout, init, group, check = scu.QueueLayout(n, pool), qu.Init, qu.Processes, qu.Check
 	case RCU:
-		pool := w.pool()
 		readers := rcuReaders(n)
-		r, err := scu.NewRCU(n, readers, pool, 0)
-		if err != nil {
-			return built{}, err
-		}
-		mem, err := shmem.New(scu.RCULayout(n-readers, pool))
-		if err != nil {
-			return built{}, err
-		}
-		procs, err := r.Processes()
-		return built{mem: mem, procs: procs, check: r.Check}, err
+		var r *scu.RCU
+		r, err = scu.NewRCU(n, readers, pool, 0)
+		layout, group, check = scu.RCULayout(n-readers, pool), r.Processes, r.Check
 	case List:
-		const keyspace = 32
-		pool := w.pool()
-		l, err := scu.NewList(n, pool, 0)
-		if err != nil {
-			return built{}, err
-		}
-		mem, err := shmem.New(scu.ListLayout(n, pool))
-		if err != nil {
-			return built{}, err
-		}
-		l.Init(mem)
-		procs, err := l.Processes(keyspace)
-		return built{mem: mem, procs: procs}, err
+		var l *scu.List
+		l, err = scu.NewList(n, pool, 0)
+		layout, init = scu.ListLayout(n, pool), l.Init
+		group = func() ([]machine.Process, error) { return l.Processes(32) } // keys 1..32
 	case HashSet:
-		const keyspace = 64
-		pool := w.pool()
-		h, err := scu.NewHashSet(n, hashBuckets, pool, 0)
-		if err != nil {
-			return built{}, err
-		}
-		mem, err := shmem.New(scu.HashSetLayout(n, hashBuckets, pool))
-		if err != nil {
-			return built{}, err
-		}
-		h.Init(mem)
-		procs, err := h.Processes(keyspace)
-		return built{mem: mem, procs: procs}, err
+		var h *scu.HashSet
+		h, err = scu.NewHashSet(n, hashBuckets, pool, 0)
+		layout, init = scu.HashSetLayout(n, hashBuckets, pool), h.Init
+		group = func() ([]machine.Process, error) { return h.Processes(64) } // keys 1..64
 	case LFUniversal:
-		u, err := scu.NewLFUniversal(scu.CounterObject{}, n, 0)
-		if err != nil {
-			return built{}, err
-		}
-		mem, err := shmem.New(scu.LFUniversalLayout)
-		if err != nil {
-			return built{}, err
-		}
-		procs, err := u.Processes(func(pid int, seq int64) int64 { return 1 })
-		return built{mem: mem, procs: procs, check: u.Check}, err
+		var u *scu.LFUniversal
+		u, err = scu.NewLFUniversal(scu.CounterObject{}, n, 0)
+		layout, check = scu.LFUniversalLayout, u.Check
+		group = func() ([]machine.Process, error) { return u.Processes(incrementBy1) }
 	case WFUniversal:
-		pool := w.pool()
-		u, err := scu.NewWFUniversal(scu.CounterObject{}, n, pool, 0)
-		if err != nil {
-			return built{}, err
-		}
-		mem, err := shmem.New(scu.WFUniversalLayout(n, pool))
-		if err != nil {
-			return built{}, err
-		}
-		u.Init(mem)
-		procs, err := u.Processes(func(pid int, seq int64) int64 { return 1 })
-		return built{mem: mem, procs: procs}, err
+		var u *scu.WFUniversal
+		u, err = scu.NewWFUniversal(scu.CounterObject{}, n, pool, 0)
+		layout, init = scu.WFUniversalLayout(n, pool), u.Init
+		group = func() ([]machine.Process, error) { return u.Processes(incrementBy1) }
 	default:
 		return built{}, fmt.Errorf("sweep: unknown workload kind %q", w.Kind)
 	}
+	// A failed constructor leaves its structure nil: the method values
+	// bound above are never called.
+	if err != nil {
+		return built{}, err
+	}
+	mem, err := shmem.New(layout)
+	if err != nil {
+		return built{}, err
+	}
+	if init != nil {
+		init(mem)
+	}
+	procs, err := group()
+	return built{mem: mem, procs: procs, check: check}, err
 }
+
+// incrementBy1 is the operation stream of the universal-construction
+// workloads: every process applies +1 to the shared counter.
+func incrementBy1(pid int, seq int64) int64 { return 1 }
 
 // SchedKind names a scheduler family.
 type SchedKind string
